@@ -18,6 +18,7 @@
 package main
 
 import (
+	"cmp"
 	"context"
 	"encoding/json"
 	"errors"
@@ -49,128 +50,13 @@ import (
 )
 
 func main() {
-	var (
-		configPath    = flag.String("config", "", "JSON configuration file (overrides the flags below; see -example-config)")
-		exampleConfig = flag.Bool("example-config", false, "print an example configuration file and exit")
-		dnsListen     = flag.String("dns-listen", ":5353", "comma-separated TCP listen addresses for DNS streams")
-		netflowListen = flag.String("netflow-listen", ":2055", "comma-separated UDP listen addresses for NetFlow/IPFIX streams")
-		out           = flag.String("out", "-", "output file for correlated flows ('-' = stdout)")
-		sinkName      = flag.String("sink", "tsv", "output sink: "+strings.Join(core.SinkNames(), ", "))
-		sinkURL       = flag.String("sink-url", "", "HTTP endpoint for -sink influx (e.g. http://influx:8086/write?db=flowdns; '' = write line protocol to -out)")
-		measurement   = flag.String("measurement", "", "Influx measurement name for -sink influx ('' = flowdns)")
-		variant       = flag.String("variant", "Main", "benchmark variant: Main, NoSplit, NoClearUp, NoRotation, NoLong, ExactTTL")
-		lanes         = flag.Int("lanes", 0, "correlation lanes (flows partitioned by dst IP; 0 = one lane per split)")
-		fillLanes     = flag.Int("fill-lanes", 0, "fill lanes (DNS records partitioned by answer IP; 0 = mirror -lanes)")
-		fillWorkers   = flag.Int("fillup-workers", 4, "FillUp workers")
-		lookWorkers   = flag.Int("lookup-workers", core.DefaultNumSplit, "LookUp workers (distributed across lanes, min one per lane)")
-		writeWorkers  = flag.Int("write-workers", 2, "Write workers")
-		batchSize     = flag.Int("batch-size", core.DefaultWriteBatchSize, "correlated flows per sink WriteBatch call")
-		ingestBatch   = flag.Int("ingest-batch", 0, "UDP datagrams drained per batched socket read (recvmmsg ring size; 0 = default 32, 1 = single-read loop)")
-		flushEvery    = flag.Duration("flush-interval", core.DefaultWriteFlushInterval, "max wait for a write batch to fill")
-		statsInterval = flag.Duration("stats-interval", 30*time.Second, "stats reporting interval")
-		skipMisses    = flag.Bool("skip-misses", false, "do not write rows for uncorrelated flows")
-		snapshotPath  = flag.String("snapshot", "", "warm-restart checkpoint file: restore on boot, checkpoint periodically and on shutdown ('' = disabled)")
-		snapshotEvery = flag.Duration("snapshot-every", core.DefaultSnapshotInterval, "checkpoint cadence when -snapshot is set")
-
-		sampleMaxShed   = flag.Float64("sample-max-shed", 0, "adaptive sampler shed ceiling in (0,1]: fraction of offered records deliberately shed (and counted) at full buffers (0 = disabled)")
-		sampleLowWater  = flag.Float64("sample-low-water", 0, "buffer fill below which the sampler sheds nothing (0 = default 0.5; requires -sample-max-shed)")
-		sampleHighWater = flag.Float64("sample-high-water", 0, "buffer fill at which the shed rate reaches -sample-max-shed (0 = default 0.9; requires -sample-max-shed)")
-
-		rollupOn     = flag.Bool("rollup", false, "enable online attribution rollups (service × origin-AS × DBL category)")
-		window       = flag.Duration("window", rollup.DefaultWindow, "rollup window rotation interval (whole seconds)")
-		rollupOut    = flag.String("rollup-out", "rollups.tsv", "sealed rollup window export file ('-' = stdout, '' = none)")
-		rollupFormat = flag.String("rollup-format", "tsv", "rollup export format: tsv, json")
-		rollupHTTP   = flag.String("rollup-http", "", "listen address for the /rollups live snapshot endpoint ('' = disabled)")
-		bgpTablePath = flag.String("bgp-table", "", "prefix→origin-ASN file for rollup AS attribution")
-		dblPath      = flag.String("dbl", "", "domain blocklist file for rollup DBL-category attribution")
-
-		dnsIdle    = flag.Duration("dns-idle-timeout", 0, "close a DNS TCP stream that goes silent for this long (0 = keep wedged streams open)")
-		retryOn    = flag.Bool("retry-sink", false, "wrap the output sink in a retry/spill wrapper: timeout-bounded attempts, doubling backoff, bounded buffering across sink outages")
-		retrySpill = flag.String("retry-spill", "", "on-disk spill file for -retry-sink, replayed after recovery or restart ('' = memory-only)")
-		faultSpecs = flag.String("faults", "", "arm failpoints at boot: name=spec[;name=spec...], same grammar as the FLOWDNS_FAULTS env var (chaos testing)")
-		faultAdmin = flag.Bool("fault-admin", false, "mount /admin/fault on the query server: GET failpoint catalog, POST arm/disarm (chaos testing)")
-
-		queryAddr    = flag.String("query-addr", "", "query-plane HTTP listen address serving /query/*, /metrics, /rollups ('' = disabled; requires -store-dir unless -role is set)")
-		storeDir     = flag.String("store-dir", "", "window-store partition directory persisting sealed rollup windows ('' = disabled; requires -rollup)")
-		retention    = flag.Duration("retention", 0, "delete stored partitions older than this (0 = keep everything)")
-		compactAfter = flag.Duration("compact-after", 0, "compact a partition this long after its interval ends (0 = default 10m, negative = never)")
-
-		role      = flag.String("role", "", "cluster role: '' standalone, 'router' (consistent-hash fan-out to -forward-to nodes, no local store), 'worker' (correlator also serving /admin/handoff)")
-		forwardTo = flag.String("forward-to", "", "router fan-out ring: name=flowAddr/dnsAddr[,name=...] (requires -role router)")
-		nodeName  = flag.String("node", "", "this process's ring name, for handoff placement and cluster health (requires -role)")
-		vnodes    = flag.Int("vnodes", 0, "virtual nodes per ring member (0 = default 64); must match across the cluster")
-	)
+	fl := config.NewFlags(flag.CommandLine)
 	flag.Parse()
-
-	// Same contract as the config file's snapshot_every_seconds checks: a
-	// cadence without a path would silently disable the checkpointing the
-	// operator asked for, and a non-positive cadence would be silently
-	// coerced to the default instead of failing fast. Skipped in -config
-	// mode, where the file governs and these flags are unused.
-	if *configPath == "" {
-		if *snapshotPath == "" {
-			flag.Visit(func(f *flag.Flag) {
-				if f.Name == "snapshot-every" {
-					log.Fatalf("flowdns: -snapshot-every set without -snapshot")
-				}
-			})
-		} else if *snapshotEvery <= 0 {
-			log.Fatalf("flowdns: non-positive -snapshot-every %v", *snapshotEvery)
-		}
-		// Mirror the config file's query-section validation.
-		if *retention < 0 {
-			log.Fatalf("flowdns: negative -retention %v", *retention)
-		}
-		// A cluster process serves health/metrics/admin on the query
-		// address even without a local window store.
-		if *queryAddr != "" && *storeDir == "" && *role == "" {
-			log.Fatalf("flowdns: -query-addr set without -store-dir (nothing to serve)")
-		}
-		switch *role {
-		case "", "router", "worker":
-		default:
-			log.Fatalf("flowdns: unknown -role %q (want router or worker)", *role)
-		}
-		if *role == "router" && *forwardTo == "" {
-			log.Fatalf("flowdns: -role router requires -forward-to")
-		}
-		if *forwardTo != "" && *role != "router" {
-			log.Fatalf("flowdns: -forward-to requires -role router")
-		}
-		if *nodeName != "" && *role == "" {
-			log.Fatalf("flowdns: -node requires -role")
-		}
-		if *vnodes < 0 {
-			log.Fatalf("flowdns: negative -vnodes %d", *vnodes)
-		}
-		if *storeDir != "" && !*rollupOn {
-			log.Fatalf("flowdns: -store-dir requires -rollup (the store persists sealed rollup windows)")
-		}
-		// Mirror the config file's sampler and output validation.
-		if *sampleMaxShed < 0 || *sampleMaxShed > 1 {
-			log.Fatalf("flowdns: -sample-max-shed %v outside [0,1]", *sampleMaxShed)
-		}
-		if *sampleMaxShed == 0 && (*sampleLowWater != 0 || *sampleHighWater != 0) {
-			log.Fatalf("flowdns: sampler watermarks set without -sample-max-shed (sampling stays disabled)")
-		}
-		if *sampleLowWater < 0 || *sampleLowWater > 1 || *sampleHighWater < 0 || *sampleHighWater > 1 {
-			log.Fatalf("flowdns: sampler watermarks outside [0,1]")
-		}
-		if *ingestBatch < 0 {
-			log.Fatalf("flowdns: negative -ingest-batch %d", *ingestBatch)
-		}
-		if *sinkURL != "" && *sinkName != "influx" {
-			log.Fatalf("flowdns: -sink-url only applies to -sink influx (have %q)", *sinkName)
-		}
-		if *dnsIdle < 0 {
-			log.Fatalf("flowdns: negative -dns-idle-timeout %v", *dnsIdle)
-		}
-		if *retrySpill != "" && !*retryOn {
-			log.Fatalf("flowdns: -retry-spill set without -retry-sink")
-		}
+	file, err := fl.Resolve()
+	if err != nil {
+		log.Fatalf("flowdns: %v", err)
 	}
-
-	if *exampleConfig {
+	if fl.ExampleConfig {
 		data, err := json.MarshalIndent(config.Example(), "", "  ")
 		if err != nil {
 			log.Fatalf("flowdns: %v", err)
@@ -178,45 +64,21 @@ func main() {
 		os.Stdout.Write(append(data, '\n'))
 		return
 	}
-
-	var flagRetry *config.RetryConfig
-	if *retryOn {
-		flagRetry = &config.RetryConfig{SpillPath: *retrySpill}
+	cfg, err := file.CoreConfig()
+	if err != nil {
+		log.Fatalf("flowdns: %v", err)
 	}
-	cfg, outputs, rcfg, qcfg, chaos, cluster := loadConfig(*configPath, configFlags{
-		variant: *variant, lanes: *lanes, fillLanes: *fillLanes, fillWorkers: *fillWorkers, lookWorkers: *lookWorkers,
-		writeWorkers: *writeWorkers, batchSize: *batchSize, flushEvery: *flushEvery, ingestBatch: *ingestBatch,
-		snapshotPath: *snapshotPath, snapshotEvery: *snapshotEvery,
-		sampleLowWater: *sampleLowWater, sampleHighWater: *sampleHighWater, sampleMaxShed: *sampleMaxShed,
-		dnsListen: dnsListen, netflowListen: netflowListen, dnsIdle: *dnsIdle,
-		retry: flagRetry, faultAdmin: *faultAdmin,
-		role: *role, forwardTo: *forwardTo, node: *nodeName, vnodes: *vnodes,
-		out: *out, sink: *sinkName, sinkURL: *sinkURL, measurement: *measurement, skipMisses: *skipMisses,
-		rollup: config.RollupConfig{
-			Enabled: *rollupOn, WindowSeconds: windowSeconds(*window),
-			Path: *rollupOut, Format: *rollupFormat, HTTP: *rollupHTTP,
-			BGPTable: *bgpTablePath, Blocklist: *dblPath,
-		},
-		query: config.QueryConfig{
-			Listen: *queryAddr, StoreDir: *storeDir,
-			RetentionSeconds:    int(*retention / time.Second),
-			CompactAfterSeconds: int(*compactAfter / time.Second),
-		},
-	})
 
 	// Arm failpoints before any sink or source is constructed, so the very
-	// first I/O can hit them: the environment first, then the config file's
-	// map / the -faults flag (later arming of the same point wins).
+	// first I/O can hit them: the environment first, then the configured
+	// faults (later arming of the same point wins).
 	if err := fault.FromEnv(); err != nil {
 		log.Fatalf("flowdns: %s: %v", fault.Env, err)
 	}
-	for name, spec := range chaos.faults {
+	for name, spec := range file.Faults {
 		if err := fault.Enable(name, spec); err != nil {
-			log.Fatalf("flowdns: config faults: %v", err)
+			log.Fatalf("flowdns: faults: %v", err)
 		}
-	}
-	if err := fault.EnableSpecs(*faultSpecs); err != nil {
-		log.Fatalf("flowdns: -faults: %v", err)
 	}
 	if armed := armedFaults(); len(armed) > 0 {
 		log.Printf("flowdns: WARNING: %d failpoint(s) armed: %s", len(armed), strings.Join(armed, ", "))
@@ -224,11 +86,13 @@ func main() {
 
 	// The router role is a different program shape: no correlator, no store,
 	// no sink — just the fan-out stage plus its admin plane.
-	if cluster.role == "router" {
-		runRouter(cfg, cluster, splitAddrs(*dnsListen), splitAddrs(*netflowListen))
+	if file.Cluster.Role == "router" {
+		runRouter(file, cfg.Key)
 		return
 	}
 
+	outputs := file.AllOutputs()
+	rcfg, qcfg := file.Rollup, file.Query
 	sink, closeFiles, extraMetrics, err := buildSink(outputs)
 	if err != nil {
 		log.Fatalf("flowdns: %v", err)
@@ -251,12 +115,12 @@ func main() {
 	// (compaction + retention) runs as a service under the pipeline
 	// lifecycle.
 	var store *winstore.Store
-	if cfg.StoreDir != "" {
+	if qcfg.StoreDir != "" {
 		store, err = winstore.Open(winstore.Config{
-			Dir:          cfg.StoreDir,
+			Dir:          qcfg.StoreDir,
 			PartDur:      time.Duration(qcfg.PartSeconds) * time.Second,
-			Retention:    cfg.Retention,
-			CompactAfter: cfg.CompactAfter,
+			Retention:    time.Duration(qcfg.RetentionSeconds) * time.Second,
+			CompactAfter: time.Duration(qcfg.CompactAfterSeconds) * time.Second,
 		})
 		if err != nil {
 			log.Fatalf("flowdns: %v", err)
@@ -314,9 +178,9 @@ func main() {
 	// served on the query address as a lifecycle service (graceful drain),
 	// and on the legacy -rollup-http address for /rollups compatibility.
 	var qsrv *queryapi.Server
-	if cfg.QueryAddr != "" {
+	if qcfg.Listen != "" {
 		qopts := []queryapi.Option{
-			queryapi.WithAddr(cfg.QueryAddr),
+			queryapi.WithAddr(qcfg.Listen),
 			queryapi.WithRollups(engine),
 			queryapi.WithDraining(draining),
 			queryapi.WithPipelineStats(pipelineStats),
@@ -325,11 +189,11 @@ func main() {
 		if reload != nil {
 			qopts = append(qopts, queryapi.WithReload(reload))
 		}
-		if chaos.admin {
+		if file.FaultAdmin {
 			qopts = append(qopts, queryapi.WithFaultAdmin())
-			log.Printf("flowdns: fault admin on http://%s/admin/fault (chaos testing)", cfg.QueryAddr)
+			log.Printf("flowdns: fault admin on http://%s/admin/fault (chaos testing)", qcfg.Listen)
 		}
-		if cluster.role == "worker" {
+		if cl := file.Cluster; cl.Role == "worker" {
 			// The handoff surface is late-bound like the drain flag: the
 			// handlers close over the correlator pointer assigned below,
 			// before Run starts the HTTP service.
@@ -347,10 +211,10 @@ func main() {
 				queryapi.WithAdminHandler("/admin/handoff", lazy),
 				queryapi.WithAdminHandler("/admin/handoff/", lazy),
 				queryapi.WithClusterInfo(func() queryapi.ClusterInfo {
-					return queryapi.ClusterInfo{Role: "worker", Node: cluster.node, VNodes: cluster.vnodes}
+					return queryapi.ClusterInfo{Role: "worker", Node: cl.Node, VNodes: cl.VNodes}
 				}),
 			)
-			log.Printf("flowdns: worker %q: shard handoff on http://%s/admin/handoff", cluster.node, cfg.QueryAddr)
+			log.Printf("flowdns: worker %q: shard handoff on http://%s/admin/handoff", cl.Node, qcfg.Listen)
 		}
 		for _, fn := range extraMetrics {
 			qopts = append(qopts, queryapi.WithExtraMetrics(fn))
@@ -360,9 +224,9 @@ func main() {
 			log.Fatalf("flowdns: %v", err)
 		}
 		services = append(services, qsrv)
-		log.Printf("flowdns: query plane on http://%s/query/ (step/top time-range queries, /metrics, /rollups)", cfg.QueryAddr)
+		log.Printf("flowdns: query plane on http://%s/query/ (step/top time-range queries, /metrics, /rollups)", qcfg.Listen)
 	}
-	if rcfg.HTTP != "" && rcfg.HTTP != cfg.QueryAddr {
+	if rcfg.HTTP != "" && rcfg.HTTP != qcfg.Listen {
 		var h http.Handler
 		if qsrv != nil {
 			h = qsrv.Handler()
@@ -383,29 +247,7 @@ func main() {
 		}()
 	}
 
-	// Wire sources: every DNS listen address accepts any number of stream
-	// connections; every NetFlow address is one collector socket.
-	var sources []stream.Source
-	for _, addr := range splitAddrs(*dnsListen) {
-		ln, err := net.Listen("tcp", addr)
-		if err != nil {
-			log.Fatalf("flowdns: dns listen %s: %v", addr, err)
-		}
-		log.Printf("flowdns: DNS stream listener on %s", ln.Addr())
-		l := stream.NewDNSListener(ln)
-		l.IdleTimeout = cfg.DNSIdleTimeout
-		sources = append(sources, l)
-	}
-	for _, addr := range splitAddrs(*netflowListen) {
-		pc, err := net.ListenPacket("udp", addr)
-		if err != nil {
-			log.Fatalf("flowdns: netflow listen %s: %v", addr, err)
-		}
-		log.Printf("flowdns: NetFlow listener on %s", pc.LocalAddr())
-		src := stream.NewFlowUDPSource(pc)
-		src.BatchSize = cfg.IngestBatch
-		sources = append(sources, src)
-	}
+	sources := listen(file)
 
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
@@ -413,7 +255,7 @@ func main() {
 	c := core.New(cfg,
 		core.WithSink(sink),
 		core.WithSources(sources...),
-		core.WithMetrics(*statsInterval, logStats),
+		core.WithMetrics(fl.StatsInterval, logStats),
 		core.WithServices(services...),
 	)
 	corr = c
@@ -433,54 +275,18 @@ func main() {
 		}
 		log.Printf("flowdns: checkpointing to %s every %v", cfg.SnapshotPath, c.Config().SnapshotEvery)
 	}
+	var sinks []string
+	for _, o := range outputs {
+		sinks = append(sinks, cmp.Or(o.Sink, "tsv"))
+	}
+	run := c.Config()
 	log.Printf("flowdns: running (variant=%s, lanes=%d, fill-lanes=%d, sink=%s, batch=%d, rollup=%v)",
-		*variant, c.Lanes(), c.FillLanes(), *sinkName, cfg.WriteBatchSize, engine != nil)
+		cmp.Or(file.Correlator.Variant, string(core.VariantMain)), run.Lanes, run.FillLanes,
+		strings.Join(sinks, "+"), run.WriteBatchSize, engine != nil)
 	if err := c.Run(ctx); err != nil {
 		log.Fatalf("flowdns: %v", err)
 	}
 	log.Printf("flowdns: drained cleanly")
-}
-
-// configFlags carries the flag values that a -config file overrides.
-type configFlags struct {
-	variant                  string
-	lanes, fillLanes         int
-	fillWorkers, lookWorkers int
-	writeWorkers, batchSize  int
-	ingestBatch              int
-	flushEvery               time.Duration
-	snapshotPath             string
-	snapshotEvery            time.Duration
-	sampleLowWater           float64
-	sampleHighWater          float64
-	sampleMaxShed            float64
-	dnsListen, netflowListen *string
-	dnsIdle                  time.Duration
-	retry                    *config.RetryConfig
-	faultAdmin               bool
-	out, sink                string
-	sinkURL, measurement     string
-	skipMisses               bool
-	rollup                   config.RollupConfig
-	query                    config.QueryConfig
-	role, forwardTo, node    string
-	vnodes                   int
-}
-
-// clusterSpec is the resolved cluster topology: flag or config file, one
-// shape for the rest of the daemon.
-type clusterSpec struct {
-	role   string
-	node   string
-	vnodes int
-	nodes  []forward.Node
-}
-
-// chaosConfig is the resolved fault-injection surface: the failpoints to arm
-// at boot and whether /admin/fault is mounted.
-type chaosConfig struct {
-	faults map[string]string
-	admin  bool
 }
 
 // armedFaults lists the currently armed failpoint specs for the startup log.
@@ -494,121 +300,33 @@ func armedFaults() []string {
 	return out
 }
 
-// loadConfig resolves the correlator config, output list, and rollup/query
-// settings from the config file when given, from flags otherwise.
-func loadConfig(path string, f configFlags) (core.Config, []config.OutputConfig, config.RollupConfig, config.QueryConfig, chaosConfig, clusterSpec) {
-	if path == "" {
-		cluster := clusterSpec{role: f.role, node: f.node, vnodes: f.vnodes}
-		if f.role == "router" {
-			nodes, err := forward.ParseNodes(f.forwardTo)
-			if err != nil {
-				log.Fatalf("flowdns: -forward-to: %v", err)
-			}
-			cluster.nodes = nodes
-		}
-		cfg := core.ConfigForVariant(core.Variant(f.variant))
-		cfg.Lanes = f.lanes
-		cfg.FillLanes = f.fillLanes
-		cfg.FillUpWorkers = f.fillWorkers
-		cfg.LookUpWorkers = f.lookWorkers
-		cfg.WriteWorkers = f.writeWorkers
-		cfg.WriteBatchSize = f.batchSize
-		cfg.WriteFlushInterval = f.flushEvery
-		cfg.IngestBatch = f.ingestBatch
-		cfg.SnapshotPath = f.snapshotPath
-		cfg.SnapshotEvery = f.snapshotEvery
-		cfg.SampleLowWater = f.sampleLowWater
-		cfg.SampleHighWater = f.sampleHighWater
-		cfg.SampleMaxShed = f.sampleMaxShed
-		cfg.QueryAddr = f.query.Listen
-		cfg.StoreDir = f.query.StoreDir
-		cfg.Retention = time.Duration(f.query.RetentionSeconds) * time.Second
-		cfg.CompactAfter = time.Duration(f.query.CompactAfterSeconds) * time.Second
-		cfg.DNSIdleTimeout = f.dnsIdle
-		return cfg, []config.OutputConfig{{Path: f.out, Sink: f.sink, SkipMisses: f.skipMisses,
-				URL: f.sinkURL, Measurement: f.measurement, Retry: f.retry}}, f.rollup, f.query,
-			chaosConfig{admin: f.faultAdmin}, cluster
-	}
-	file, err := config.Load(path)
-	if err != nil {
-		log.Fatalf("flowdns: %v", err)
-	}
-	cfg, err := file.CoreConfig()
-	if err != nil {
-		log.Fatalf("flowdns: %v", err)
-	}
-	var dnsAddrs, flowAddrs []string
-	for _, s := range file.DNSStreams {
-		dnsAddrs = append(dnsAddrs, s.Listen)
-	}
-	for _, s := range file.FlowStreams {
-		flowAddrs = append(flowAddrs, s.Listen)
-	}
-	*f.dnsListen = strings.Join(dnsAddrs, ",")
-	*f.netflowListen = strings.Join(flowAddrs, ",")
-	outputs := file.AllOutputs()
-	// As in v1, a config file that names no output path falls back to the
-	// -out flag rather than silently switching to stdout.
-	if outputs[0].Path == "" && outputs[0].NeedsWriter() {
-		outputs[0].Path = f.out
-	}
-	cluster := clusterSpec{
-		role:   file.Cluster.Role,
-		node:   file.Cluster.Node,
-		vnodes: file.Cluster.VNodes,
-	}
-	for _, n := range file.Cluster.Nodes {
-		cluster.nodes = append(cluster.nodes, forward.Node{Name: n.Name, FlowAddr: n.Flow, DNSAddr: n.DNS})
-	}
-	return cfg, outputs, file.Rollup, file.Query, chaosConfig{faults: file.Faults, admin: file.FaultAdmin}, cluster
-}
-
 // runRouter is the -role router program: consistent-hash fan-out of every
 // ingested record to the worker ring, plus /ring, /metrics, and
 // /query/health on the query address. Terminates like the daemon:
 // SIGINT/SIGTERM stops intake, flushes the per-node sinks, and exits.
-func runRouter(cfg core.Config, cl clusterSpec, dnsAddrs, flowAddrs []string) {
-	r, err := forward.NewRouter(forward.Config{
-		Nodes:  cl.nodes,
-		VNodes: cl.vnodes,
-		Key:    cfg.Key,
-	})
+func runRouter(file *config.File, key core.LookupKey) {
+	cl := file.Cluster
+	var nodes []forward.Node
+	for _, n := range cl.Nodes {
+		nodes = append(nodes, forward.Node{Name: n.Name, FlowAddr: n.Flow, DNSAddr: n.DNS})
+	}
+	r, err := forward.NewRouter(forward.Config{Nodes: nodes, VNodes: cl.VNodes, Key: key})
 	if err != nil {
 		log.Fatalf("flowdns: %v", err)
 	}
-	var sources []stream.Source
-	for _, addr := range dnsAddrs {
-		ln, err := net.Listen("tcp", addr)
-		if err != nil {
-			log.Fatalf("flowdns: dns listen %s: %v", addr, err)
-		}
-		log.Printf("flowdns: DNS stream listener on %s", ln.Addr())
-		l := stream.NewDNSListener(ln)
-		l.IdleTimeout = cfg.DNSIdleTimeout
-		sources = append(sources, l)
-	}
-	for _, addr := range flowAddrs {
-		pc, err := net.ListenPacket("udp", addr)
-		if err != nil {
-			log.Fatalf("flowdns: netflow listen %s: %v", addr, err)
-		}
-		log.Printf("flowdns: NetFlow listener on %s", pc.LocalAddr())
-		src := stream.NewFlowUDPSource(pc)
-		src.BatchSize = cfg.IngestBatch
-		sources = append(sources, src)
-	}
+	sources := listen(file)
 
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
 
-	if cfg.QueryAddr != "" {
+	if addr := file.Query.Listen; addr != "" {
 		qsrv, err := queryapi.New(nil,
-			queryapi.WithAddr(cfg.QueryAddr),
+			queryapi.WithAddr(addr),
 			queryapi.WithExtraMetrics(r.MetricsContributor()),
 			queryapi.WithAdminHandler("/ring", r.RingHandler()),
 			queryapi.WithClusterInfo(func() queryapi.ClusterInfo {
 				return queryapi.ClusterInfo{
-					Role: "router", Node: cl.node,
+					Role: "router", Node: cl.Node,
 					Nodes: r.Ring().Nodes(), VNodes: r.Ring().VNodes(),
 				}
 			}),
@@ -621,7 +339,7 @@ func runRouter(cfg core.Config, cl clusterSpec, dnsAddrs, flowAddrs []string) {
 				log.Printf("flowdns: router admin: %v", err)
 			}
 		}()
-		log.Printf("flowdns: router admin on http://%s/ring", cfg.QueryAddr)
+		log.Printf("flowdns: router admin on http://%s/ring", addr)
 	}
 	log.Printf("flowdns: router fanning out to %s (vnodes=%d)",
 		strings.Join(r.Ring().Nodes(), ","), r.Ring().VNodes())
@@ -635,15 +353,32 @@ func runRouter(cfg core.Config, cl clusterSpec, dnsAddrs, flowAddrs []string) {
 	log.Printf("flowdns: router drained")
 }
 
-// windowSeconds converts the -window duration to the config field's whole
-// seconds, rounding fractional requests up (as rollup.New documents)
-// rather than truncating toward 0 (which would mean "use the default").
-// Negative values are rejected, matching the config-file validation.
-func windowSeconds(d time.Duration) int {
-	if d < 0 {
-		log.Fatalf("flowdns: negative -window %v", d)
+// listen opens the file's stream listen addresses as pipeline sources:
+// every DNS address accepts any number of stream connections; every NetFlow
+// address is one collector socket.
+func listen(file *config.File) []stream.Source {
+	var sources []stream.Source
+	for _, s := range file.DNSStreams {
+		ln, err := net.Listen("tcp", s.Listen)
+		if err != nil {
+			log.Fatalf("flowdns: dns listen %s: %v", s.Listen, err)
+		}
+		log.Printf("flowdns: DNS stream listener on %s", ln.Addr())
+		l := stream.NewDNSListener(ln)
+		l.IdleTimeout = time.Duration(file.Correlator.DNSIdleTimeoutSeconds) * time.Second
+		sources = append(sources, l)
 	}
-	return int((d + time.Second - 1) / time.Second)
+	for _, s := range file.FlowStreams {
+		pc, err := net.ListenPacket("udp", s.Listen)
+		if err != nil {
+			log.Fatalf("flowdns: netflow listen %s: %v", s.Listen, err)
+		}
+		log.Printf("flowdns: NetFlow listener on %s", pc.LocalAddr())
+		src := stream.NewFlowUDPSource(pc)
+		src.BatchSize = file.Correlator.IngestBatch
+		sources = append(sources, src)
+	}
+	return sources
 }
 
 // buildRollup constructs the attribution rollup engine and its sink, and
@@ -854,16 +589,6 @@ func influxSinkMetrics(label string, is *influxsink.Sink) func(*metrics.PromWrit
 		p.Counter("flowdns_influx_dropped_records_total", "Buffered records dropped at the buffer bound.", lbl, st.DroppedRecords)
 		p.Counter("flowdns_influx_dropped_batches_total", "Bound-enforcement passes that dropped data.", lbl, st.DroppedBatches)
 	}
-}
-
-func splitAddrs(s string) []string {
-	var out []string
-	for _, a := range strings.Split(s, ",") {
-		if a = strings.TrimSpace(a); a != "" {
-			out = append(out, a)
-		}
-	}
-	return out
 }
 
 func logStats(st core.Stats) {

@@ -1,10 +1,12 @@
-// Package config loads the FlowDNS daemon configuration file.
+// Package config is the FlowDNS daemon configuration.
 //
 // The paper notes that "the system is not bound to NetFlow data and can be
 // adapted to use other data formats containing IP addresses and timestamps
 // in a configuration file" (§3). This package is that file: a JSON document
 // describing the input streams (addresses and formats), the correlator
-// tuning (variant, workers, intervals, lookup key), and the output.
+// tuning (variant, workers, intervals, lookup key), and the output. The
+// daemon's command-line flags (Flags) write into the same File, and one
+// validator (File.Validate) serves both.
 package config
 
 import (
@@ -210,9 +212,6 @@ type QueryConfig struct {
 	CacheEntries int `json:"cache_entries"`
 }
 
-// Enabled reports whether any query-plane component is configured.
-func (qc QueryConfig) Enabled() bool { return qc.Listen != "" || qc.StoreDir != "" }
-
 // Window returns the rotation interval as a duration.
 func (rc RollupConfig) Window() time.Duration {
 	if rc.WindowSeconds <= 0 {
@@ -221,7 +220,9 @@ func (rc RollupConfig) Window() time.Duration {
 	return time.Duration(rc.WindowSeconds) * time.Second
 }
 
-// CorrelatorConfig mirrors the tunable subset of core.Config.
+// CorrelatorConfig tunes the pipeline: the core.Config knobs CoreConfig
+// maps, plus ingest_batch and dns_idle_timeout_seconds, which the daemon
+// applies to the stream sources it wires.
 type CorrelatorConfig struct {
 	Variant         string `json:"variant"`            // Main (default), NoSplit, ...
 	LookupKey       string `json:"lookup_key"`         // source (default), destination, both
@@ -276,29 +277,41 @@ func Load(path string) (*File, error) {
 	return Parse(data)
 }
 
-// Parse validates a configuration document.
+// Parse decodes and validates a configuration document.
 func Parse(data []byte) (*File, error) {
 	var f File
 	if err := json.Unmarshal(data, &f); err != nil {
 		return nil, fmt.Errorf("config: %w", err)
 	}
+	if err := f.Validate(); err != nil {
+		return nil, err
+	}
+	return &f, nil
+}
+
+// Validate checks a configuration, however it was built: both the file
+// (Parse) and the command line (Flags.Resolve) go through it, so the two
+// frontends accept and reject the same settings with the same messages.
+// Range checks apply whether or not their section is enabled; only the
+// rollup export format waits for rollup.enabled.
+func (f *File) Validate() error {
 	if len(f.DNSStreams) == 0 && len(f.FlowStreams) == 0 {
-		return nil, fmt.Errorf("config: no input streams configured")
+		return fmt.Errorf("config: no input streams configured")
 	}
 	for i, s := range f.DNSStreams {
 		if s.Listen == "" {
-			return nil, fmt.Errorf("config: dns_streams[%d]: missing listen address", i)
+			return fmt.Errorf("config: dns_streams[%d]: missing listen address", i)
 		}
 		if !dnsFormats[s.Format] {
-			return nil, fmt.Errorf("config: dns_streams[%d]: unsupported format %q", i, s.Format)
+			return fmt.Errorf("config: dns_streams[%d]: unsupported format %q", i, s.Format)
 		}
 	}
 	for i, s := range f.FlowStreams {
 		if s.Listen == "" {
-			return nil, fmt.Errorf("config: flow_streams[%d]: missing listen address", i)
+			return fmt.Errorf("config: flow_streams[%d]: missing listen address", i)
 		}
 		if !flowFormats[s.Format] {
-			return nil, fmt.Errorf("config: flow_streams[%d]: unsupported format %q", i, s.Format)
+			return fmt.Errorf("config: flow_streams[%d]: unsupported format %q", i, s.Format)
 		}
 	}
 	registered := core.SinkNames()
@@ -310,20 +323,20 @@ func Parse(data []byte) (*File, error) {
 			field = fmt.Sprintf("outputs[%d]", i-1)
 		}
 		if o.Sink == "multi" {
-			return nil, fmt.Errorf("config: %s: \"multi\" is implied by listing several outputs", field)
+			return fmt.Errorf("config: %s: \"multi\" is implied by listing several outputs", field)
 		}
 		if o.Sink != "" && !slices.Contains(registered, o.Sink) {
-			return nil, fmt.Errorf("config: %s: unknown sink %q (have %v)", field, o.Sink, registered)
+			return fmt.Errorf("config: %s: unknown sink %q (have %v)", field, o.Sink, registered)
 		}
 		if o.URL != "" && o.Sink != "influx" {
-			return nil, fmt.Errorf("config: %s: url is only supported by the \"influx\" sink, not %q", field, o.Sink)
+			return fmt.Errorf("config: %s: url is only supported by the \"influx\" sink, not %q", field, o.Sink)
 		}
 		if !o.NeedsWriter() && o.Path != "" && o.Path != "-" {
-			return nil, fmt.Errorf("config: %s: sink %q does not write to a file; remove path %q", field, o.Sink, o.Path)
+			return fmt.Errorf("config: %s: sink %q does not write to a file; remove path %q", field, o.Sink, o.Path)
 		}
 		if o.Retry != nil {
 			if o.Retry.BackoffMS < 0 || o.Retry.TimeoutMS < 0 || o.Retry.SpillLimitBytes < 0 {
-				return nil, fmt.Errorf("config: %s: negative retry durations or spill limit", field)
+				return fmt.Errorf("config: %s: negative retry durations or spill limit", field)
 			}
 		}
 	}
@@ -331,70 +344,92 @@ func Parse(data []byte) (*File, error) {
 	// the daemon, where every failpoint-bearing package is linked.
 	for name, spec := range f.Faults {
 		if name == "" {
-			return nil, fmt.Errorf("config: faults: empty failpoint name")
+			return fmt.Errorf("config: faults: empty failpoint name")
 		}
 		if err := fault.ValidateSpec(spec); err != nil {
-			return nil, fmt.Errorf("config: faults: %s: %w", name, err)
+			return fmt.Errorf("config: faults: %s: %w", name, err)
 		}
+	}
+	cc := f.Correlator
+	if cc.IngestBatch < 0 {
+		return fmt.Errorf("config: negative ingest_batch %d", cc.IngestBatch)
+	}
+	if cc.DNSIdleTimeoutSeconds < 0 {
+		return fmt.Errorf("config: negative dns_idle_timeout_seconds %d", cc.DNSIdleTimeoutSeconds)
+	}
+	if cc.SnapshotEverySeconds < 0 {
+		return fmt.Errorf("config: negative snapshot_every_seconds %d", cc.SnapshotEverySeconds)
+	}
+	if cc.SnapshotEverySeconds > 0 && cc.SnapshotPath == "" {
+		return fmt.Errorf("config: snapshot_every_seconds set without snapshot_path")
+	}
+	if cc.SampleMaxShed < 0 || cc.SampleMaxShed > 1 {
+		return fmt.Errorf("config: sample_max_shed %v outside [0,1]", cc.SampleMaxShed)
+	}
+	if cc.SampleLowWater < 0 || cc.SampleLowWater > 1 ||
+		cc.SampleHighWater < 0 || cc.SampleHighWater > 1 {
+		return fmt.Errorf("config: sampler watermarks must lie in [0,1]")
+	}
+	if cc.SampleMaxShed == 0 && (cc.SampleLowWater != 0 || cc.SampleHighWater != 0) {
+		return fmt.Errorf("config: sampler watermarks set without sample_max_shed")
 	}
 	if f.Rollup.Enabled {
 		if _, err := rollup.ParseFormat(f.Rollup.Format); err != nil {
-			return nil, fmt.Errorf("config: rollup: %w", err)
-		}
-		if f.Rollup.WindowSeconds < 0 {
-			return nil, fmt.Errorf("config: rollup: negative window_seconds %d", f.Rollup.WindowSeconds)
-		}
-		if f.Rollup.Shards < 0 {
-			return nil, fmt.Errorf("config: rollup: negative shards %d", f.Rollup.Shards)
+			return fmt.Errorf("config: rollup: %w", err)
 		}
 	}
-	if f.Query.Enabled() {
-		if f.Query.StoreDir != "" && !f.Rollup.Enabled {
-			return nil, fmt.Errorf("config: query: store_dir requires rollup.enabled (the store persists sealed rollup windows)")
-		}
-		// A cluster process serves health, metrics, and admin surfaces on
-		// the query address even without a window store; standalone, a
-		// listen address with nothing behind it is a misconfiguration.
-		if f.Query.Listen != "" && f.Query.StoreDir == "" && f.Cluster.Role == "" {
-			return nil, fmt.Errorf("config: query: listen without store_dir (nothing to serve)")
-		}
-		if f.Query.PartSeconds < 0 {
-			return nil, fmt.Errorf("config: query: negative part_seconds %d", f.Query.PartSeconds)
-		}
-		if f.Query.RetentionSeconds < 0 {
-			return nil, fmt.Errorf("config: query: negative retention_seconds %d", f.Query.RetentionSeconds)
-		}
-		if f.Query.CacheEntries < 0 {
-			return nil, fmt.Errorf("config: query: negative cache_entries %d", f.Query.CacheEntries)
-		}
+	if f.Rollup.WindowSeconds < 0 {
+		return fmt.Errorf("config: rollup: negative window_seconds %d", f.Rollup.WindowSeconds)
+	}
+	if f.Rollup.Shards < 0 {
+		return fmt.Errorf("config: rollup: negative shards %d", f.Rollup.Shards)
+	}
+	if f.Query.StoreDir != "" && !f.Rollup.Enabled {
+		return fmt.Errorf("config: query: store_dir requires rollup.enabled (the store persists sealed rollup windows)")
+	}
+	// A cluster process serves health, metrics, and admin surfaces on the
+	// query address even without a window store; standalone, a listen
+	// address with nothing behind it is a misconfiguration.
+	if f.Query.Listen != "" && f.Query.StoreDir == "" && f.Cluster.Role == "" {
+		return fmt.Errorf("config: query: listen without store_dir (nothing to serve)")
+	}
+	if f.Query.PartSeconds < 0 {
+		return fmt.Errorf("config: query: negative part_seconds %d", f.Query.PartSeconds)
+	}
+	if f.Query.RetentionSeconds < 0 {
+		return fmt.Errorf("config: query: negative retention_seconds %d", f.Query.RetentionSeconds)
+	}
+	if f.Query.CacheEntries < 0 {
+		return fmt.Errorf("config: query: negative cache_entries %d", f.Query.CacheEntries)
 	}
 	switch f.Cluster.Role {
 	case "", "worker", "router":
 	default:
-		return nil, fmt.Errorf("config: cluster: unknown role %q (want router or worker)", f.Cluster.Role)
+		return fmt.Errorf("config: cluster: unknown role %q (want router or worker)", f.Cluster.Role)
 	}
 	if f.Cluster.VNodes < 0 {
-		return nil, fmt.Errorf("config: cluster: negative vnodes %d", f.Cluster.VNodes)
+		return fmt.Errorf("config: cluster: negative vnodes %d", f.Cluster.VNodes)
 	}
-	if f.Cluster.Role == "router" {
-		if len(f.Cluster.Nodes) == 0 {
-			return nil, fmt.Errorf("config: cluster: router role needs nodes")
+	// A shared cluster file lists the ring on every process, so a worker
+	// may carry nodes; a standalone process has no ring to name.
+	if f.Cluster.Role == "" && (f.Cluster.Node != "" || len(f.Cluster.Nodes) > 0) {
+		return fmt.Errorf("config: cluster: node and nodes require a role")
+	}
+	if f.Cluster.Role == "router" && len(f.Cluster.Nodes) == 0 {
+		return fmt.Errorf("config: cluster: router role needs nodes")
+	}
+	seen := map[string]bool{}
+	for i, n := range f.Cluster.Nodes {
+		if n.Name == "" || n.Flow == "" || n.DNS == "" {
+			return fmt.Errorf("config: cluster: nodes[%d]: name, flow, and dns are all required", i)
 		}
-		seen := map[string]bool{}
-		for i, n := range f.Cluster.Nodes {
-			if n.Name == "" || n.Flow == "" || n.DNS == "" {
-				return nil, fmt.Errorf("config: cluster: nodes[%d]: name, flow, and dns are all required", i)
-			}
-			if seen[n.Name] {
-				return nil, fmt.Errorf("config: cluster: duplicate node name %q", n.Name)
-			}
-			seen[n.Name] = true
+		if seen[n.Name] {
+			return fmt.Errorf("config: cluster: duplicate node name %q", n.Name)
 		}
+		seen[n.Name] = true
 	}
-	if _, err := f.CoreConfig(); err != nil {
-		return nil, err
-	}
-	return &f, nil
+	_, err := f.CoreConfig()
+	return err
 }
 
 // AllOutputs returns the full sink list the daemon must construct: the
@@ -404,7 +439,10 @@ func (f *File) AllOutputs() []OutputConfig {
 	return append([]OutputConfig{f.Output}, f.Outputs...)
 }
 
-// CoreConfig converts the correlator section to a core.Config.
+// CoreConfig maps the correlator section onto the knobs the correlator
+// reads; the daemon wires the rest (stream sources, window store, query
+// server) from the File itself. Only an unknown variant or lookup key is
+// an error here: range checks live in Validate.
 func (f *File) CoreConfig() (core.Config, error) {
 	cc := f.Correlator
 	variant := core.Variant(cc.Variant)
@@ -428,81 +466,26 @@ func (f *File) CoreConfig() (core.Config, error) {
 	default:
 		return core.Config{}, fmt.Errorf("config: unknown lookup_key %q", cc.LookupKey)
 	}
-	if cc.NumSplit > 0 {
-		cfg.NumSplit = cc.NumSplit
-	}
-	if cc.Lanes > 0 {
-		cfg.Lanes = cc.Lanes
-	}
-	if cc.FillLanes > 0 {
-		cfg.FillLanes = cc.FillLanes
-	}
-	if cc.FillUpWorkers > 0 {
-		cfg.FillUpWorkers = cc.FillUpWorkers
-	}
-	if cc.LookUpWorkers > 0 {
-		cfg.LookUpWorkers = cc.LookUpWorkers
-	}
-	if cc.WriteWorkers > 0 {
-		cfg.WriteWorkers = cc.WriteWorkers
-	}
-	if cc.AClearUpSeconds > 0 {
-		cfg.AClearUpInterval = time.Duration(cc.AClearUpSeconds) * time.Second
-	}
-	if cc.CClearUpSeconds > 0 {
-		cfg.CClearUpInterval = time.Duration(cc.CClearUpSeconds) * time.Second
-	}
-	if cc.CNAMEChainLimit > 0 {
-		cfg.CNAMEChainLimit = cc.CNAMEChainLimit
-	}
-	if cc.QueueCapacity > 0 {
-		cfg.FillQueueCap = cc.QueueCapacity
-		cfg.LookQueueCap = cc.QueueCapacity
-		cfg.WriteQueueCap = cc.QueueCapacity
-	}
-	if cc.WriteBatchSize > 0 {
-		cfg.WriteBatchSize = cc.WriteBatchSize
-	}
-	if cc.WriteFlushMS > 0 {
-		cfg.WriteFlushInterval = time.Duration(cc.WriteFlushMS) * time.Millisecond
-	}
-	if cc.IngestBatch < 0 {
-		return core.Config{}, fmt.Errorf("config: negative ingest_batch %d", cc.IngestBatch)
-	}
-	cfg.IngestBatch = cc.IngestBatch
-	if cc.DNSIdleTimeoutSeconds < 0 {
-		return core.Config{}, fmt.Errorf("config: negative dns_idle_timeout_seconds %d", cc.DNSIdleTimeoutSeconds)
-	}
-	cfg.DNSIdleTimeout = time.Duration(cc.DNSIdleTimeoutSeconds) * time.Second
-	if cc.SnapshotEverySeconds < 0 {
-		return core.Config{}, fmt.Errorf("config: negative snapshot_every_seconds %d", cc.SnapshotEverySeconds)
-	}
-	if cc.SnapshotEverySeconds > 0 && cc.SnapshotPath == "" {
-		return core.Config{}, fmt.Errorf("config: snapshot_every_seconds set without snapshot_path")
-	}
+	// Zero and negative values mean "default": core.New normalizes them.
+	cfg.NumSplit = cc.NumSplit
+	cfg.Lanes = cc.Lanes
+	cfg.FillLanes = cc.FillLanes
+	cfg.FillUpWorkers = cc.FillUpWorkers
+	cfg.LookUpWorkers = cc.LookUpWorkers
+	cfg.WriteWorkers = cc.WriteWorkers
+	cfg.AClearUpInterval = time.Duration(cc.AClearUpSeconds) * time.Second
+	cfg.CClearUpInterval = time.Duration(cc.CClearUpSeconds) * time.Second
+	cfg.CNAMEChainLimit = cc.CNAMEChainLimit
+	cfg.FillQueueCap = cc.QueueCapacity
+	cfg.LookQueueCap = cc.QueueCapacity
+	cfg.WriteQueueCap = cc.QueueCapacity
+	cfg.WriteBatchSize = cc.WriteBatchSize
+	cfg.WriteFlushInterval = time.Duration(cc.WriteFlushMS) * time.Millisecond
 	cfg.SnapshotPath = cc.SnapshotPath
-	if cc.SnapshotEverySeconds > 0 {
-		cfg.SnapshotEvery = time.Duration(cc.SnapshotEverySeconds) * time.Second
-	}
-	if cc.SampleMaxShed < 0 || cc.SampleMaxShed > 1 {
-		return core.Config{}, fmt.Errorf("config: sample_max_shed %v outside [0,1]", cc.SampleMaxShed)
-	}
-	if cc.SampleLowWater < 0 || cc.SampleLowWater > 1 ||
-		cc.SampleHighWater < 0 || cc.SampleHighWater > 1 {
-		return core.Config{}, fmt.Errorf("config: sampler watermarks must lie in [0,1]")
-	}
-	if cc.SampleMaxShed == 0 && (cc.SampleLowWater != 0 || cc.SampleHighWater != 0) {
-		return core.Config{}, fmt.Errorf("config: sampler watermarks set without sample_max_shed")
-	}
+	cfg.SnapshotEvery = time.Duration(cc.SnapshotEverySeconds) * time.Second
 	cfg.SampleLowWater = cc.SampleLowWater
 	cfg.SampleHighWater = cc.SampleHighWater
 	cfg.SampleMaxShed = cc.SampleMaxShed
-	cfg.QueryAddr = f.Query.Listen
-	cfg.StoreDir = f.Query.StoreDir
-	if f.Query.RetentionSeconds > 0 {
-		cfg.Retention = time.Duration(f.Query.RetentionSeconds) * time.Second
-	}
-	cfg.CompactAfter = time.Duration(f.Query.CompactAfterSeconds) * time.Second
 	return cfg, nil
 }
 

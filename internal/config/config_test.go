@@ -65,32 +65,65 @@ func TestParseFull(t *testing.T) {
 	}
 }
 
+// TestParseErrors runs every rejection through the file (Parse) and, where
+// the command line can spell the same input, through the flag frontend
+// (args → FlagSet → Resolve → Validate): both must fail with the same
+// message. Cases with nil args have no flag spelling (list-shaped outputs,
+// stream formats, file-only keys).
 func TestParseErrors(t *testing.T) {
 	cases := []struct {
 		doc  string
+		args []string
 		want string
 	}{
-		{`not json`, "config:"},
-		{`{}`, "no input streams"},
-		{`{"dns_streams":[{"listen":""}]}`, "missing listen"},
-		{`{"dns_streams":[{"listen":":1","format":"ipfix"}]}`, "unsupported format"},
-		{`{"flow_streams":[{"listen":":1","format":"weird"}]}`, "unsupported format"},
-		{`{"dns_streams":[{"listen":":1"}],"correlator":{"variant":"Bogus"}}`, "unknown variant"},
-		{`{"dns_streams":[{"listen":":1"}],"correlator":{"lookup_key":"sideways"}}`, "unknown lookup_key"},
-		{`{"dns_streams":[{"listen":":1"}],"output":{"sink":"kafka"}}`, "unknown sink"},
-		{`{"dns_streams":[{"listen":":1"}],"output":{"sink":"multi"}}`, "implied"},
-		{`{"dns_streams":[{"listen":":1"}],"output":{"sink":"counting","path":"x.tsv"}}`, "does not write to a file"},
-		{`{"dns_streams":[{"listen":":1"}],"outputs":[{"sink":"bogus"}]}`, "outputs[0]"},
-		{`{"dns_streams":[{"listen":":1"}],"query":{"listen":":8081","store_dir":"w"}}`, "requires rollup.enabled"},
-		{`{"dns_streams":[{"listen":":1"}],"rollup":{"enabled":true},"query":{"listen":":8081"}}`, "listen without store_dir"},
-		{`{"dns_streams":[{"listen":":1"}],"rollup":{"enabled":true},"query":{"store_dir":"w","part_seconds":-1}}`, "negative part_seconds"},
-		{`{"dns_streams":[{"listen":":1"}],"rollup":{"enabled":true},"query":{"store_dir":"w","retention_seconds":-1}}`, "negative retention_seconds"},
-		{`{"dns_streams":[{"listen":":1"}],"rollup":{"enabled":true},"query":{"store_dir":"w","cache_entries":-1}}`, "negative cache_entries"},
+		{`not json`, nil, "config:"},
+		{`{}`, []string{"-dns-listen=", "-netflow-listen="}, "no input streams"},
+		{`{"dns_streams":[{"listen":""}]}`, nil, "missing listen"},
+		{`{"dns_streams":[{"listen":":1","format":"ipfix"}]}`, nil, "unsupported format"},
+		{`{"flow_streams":[{"listen":":1","format":"weird"}]}`, nil, "unsupported format"},
+		{`{"dns_streams":[{"listen":":1"}],"correlator":{"variant":"Bogus"}}`, []string{"-variant", "Bogus"}, "unknown variant"},
+		{`{"dns_streams":[{"listen":":1"}],"correlator":{"lookup_key":"sideways"}}`, nil, "unknown lookup_key"},
+		{`{"dns_streams":[{"listen":":1"}],"output":{"sink":"kafka"}}`, []string{"-sink", "kafka"}, "unknown sink"},
+		{`{"dns_streams":[{"listen":":1"}],"output":{"sink":"multi"}}`, []string{"-sink", "multi"}, "implied"},
+		{`{"dns_streams":[{"listen":":1"}],"output":{"sink":"counting","path":"x.tsv"}}`, []string{"-sink", "counting", "-out", "x.tsv"}, "does not write to a file"},
+		{`{"dns_streams":[{"listen":":1"}],"outputs":[{"sink":"bogus"}]}`, nil, "outputs[0]"},
+		{`{"dns_streams":[{"listen":":1"}],"query":{"listen":":8081","store_dir":"w"}}`, []string{"-query-addr", ":8081", "-store-dir", "w"}, "requires rollup.enabled"},
+		{`{"dns_streams":[{"listen":":1"}],"rollup":{"enabled":true},"query":{"listen":":8081"}}`, []string{"-rollup", "-query-addr", ":8081"}, "listen without store_dir"},
+		{`{"dns_streams":[{"listen":":1"}],"rollup":{"enabled":true},"query":{"store_dir":"w","part_seconds":-1}}`, nil, "negative part_seconds"},
+		{`{"dns_streams":[{"listen":":1"}],"rollup":{"enabled":true},"query":{"store_dir":"w","retention_seconds":-1}}`, []string{"-rollup", "-store-dir", "w", "-retention", "-1s"}, "negative retention_seconds"},
+		{`{"dns_streams":[{"listen":":1"}],"rollup":{"enabled":true},"query":{"store_dir":"w","cache_entries":-1}}`, nil, "negative cache_entries"},
+
+		// Rules the command line enforced alone before one validator served
+		// both frontends.
+		{`{"dns_streams":[{"listen":":1"}],"query":{"retention_seconds":-1}}`, []string{"-retention", "-1s"}, "negative retention_seconds"},
+		{`{"dns_streams":[{"listen":":1"}],"rollup":{"window_seconds":-1}}`, []string{"-window", "-1s"}, "negative window_seconds"},
+		{`{"dns_streams":[{"listen":":1"}],"correlator":{"dns_idle_timeout_seconds":-1}}`, []string{"-dns-idle-timeout", "-500ms"}, "negative dns_idle_timeout_seconds"},
+		{`{"dns_streams":[{"listen":":1"}],"correlator":{"ingest_batch":-1}}`, []string{"-ingest-batch", "-1"}, "negative ingest_batch"},
+		{`{"dns_streams":[{"listen":":1"}],"correlator":{"snapshot_every_seconds":60}}`, []string{"-snapshot-every", "1m"}, "snapshot_every_seconds set without snapshot_path"},
+		{`{"dns_streams":[{"listen":":1"}],"correlator":{"snapshot_path":"s","snapshot_every_seconds":-1}}`, []string{"-snapshot", "s", "-snapshot-every", "-1s"}, "negative snapshot_every_seconds"},
+		{`{"dns_streams":[{"listen":":1"}],"correlator":{"sample_max_shed":2}}`, []string{"-sample-max-shed", "2"}, "outside [0,1]"},
+		{`{"dns_streams":[{"listen":":1"}],"correlator":{"sample_low_water":0.5}}`, []string{"-sample-low-water", "0.5"}, "without sample_max_shed"},
+		{`{"dns_streams":[{"listen":":1"}],"correlator":{"sample_max_shed":0.5,"sample_high_water":2}}`, []string{"-sample-max-shed", "0.5", "-sample-high-water", "2"}, "watermarks must lie in [0,1]"},
+		{`{"dns_streams":[{"listen":":1"}],"output":{"sink":"tsv","url":"http://x"}}`, []string{"-sink-url", "http://x"}, "only supported by the \"influx\" sink"},
+		{`{"dns_streams":[{"listen":":1"}],"cluster":{"role":"leader"}}`, []string{"-role", "leader"}, "unknown role"},
+		{`{"dns_streams":[{"listen":":1"}],"cluster":{"role":"router"}}`, []string{"-role", "router"}, "router role needs nodes"},
+		{`{"dns_streams":[{"listen":":1"}],"cluster":{"role":"worker","vnodes":-1}}`, []string{"-role", "worker", "-vnodes", "-1"}, "negative vnodes"},
+		{`{"dns_streams":[{"listen":":1"}],"cluster":{"node":"w1"}}`, []string{"-node", "w1"}, "require a role"},
+		{`{"dns_streams":[{"listen":":1"}],"cluster":{"nodes":[{"name":"w1","flow":"a:1","dns":"a:2"}]}}`, []string{"-forward-to", "w1=a:1/a:2"}, "require a role"},
+		{`{"dns_streams":[{"listen":":1"}],"cluster":{"role":"router","nodes":[{"name":"w1","flow":"a:1","dns":"a:2"},{"name":"w1","flow":"b:1","dns":"b:2"}]}}`, []string{"-role", "router", "-forward-to", "w1=a:1/a:2,w1=b:1/b:2"}, "duplicate node name"},
+		{`{"dns_streams":[{"listen":":1"}],"faults":{"core.sink.write":"wibble!"}}`, []string{"-faults", "core.sink.write=wibble!"}, "unknown action"},
 	}
 	for _, c := range cases {
 		_, err := Parse([]byte(c.doc))
 		if err == nil || !strings.Contains(err.Error(), c.want) {
 			t.Errorf("Parse(%q) err = %v, want containing %q", c.doc, err, c.want)
+			continue
+		}
+		if c.args == nil {
+			continue
+		}
+		if _, ferr := parseFlags(c.args...); ferr == nil || ferr.Error() != err.Error() {
+			t.Errorf("flags %q err = %v, want %q as the file gives", c.args, ferr, err)
 		}
 	}
 }
@@ -112,18 +145,9 @@ func TestQueryConfig(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !f.Query.Enabled() {
-		t.Fatal("query section not enabled")
-	}
-	cfg, err := f.CoreConfig()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if cfg.QueryAddr != ":8081" || cfg.StoreDir != "winstore" {
-		t.Fatalf("core mapping: addr %q dir %q", cfg.QueryAddr, cfg.StoreDir)
-	}
-	if cfg.Retention != 24*time.Hour || cfg.CompactAfter != 5*time.Minute {
-		t.Fatalf("core mapping: retention %v compact_after %v", cfg.Retention, cfg.CompactAfter)
+	if q := f.Query; q.Listen != ":8081" || q.StoreDir != "winstore" || q.PartSeconds != 1800 ||
+		q.RetentionSeconds != 86400 || q.CompactAfterSeconds != 300 || q.CacheEntries != 64 {
+		t.Fatalf("query section = %+v", q)
 	}
 
 	// Store without server is valid (persist-only), and a negative
@@ -136,12 +160,8 @@ func TestQueryConfig(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg2, err := f2.CoreConfig()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if cfg2.QueryAddr != "" || cfg2.StoreDir != "w" || cfg2.CompactAfter >= 0 {
-		t.Fatalf("persist-only mapping: %+v", cfg2)
+	if q := f2.Query; q.Listen != "" || q.StoreDir != "w" || q.CompactAfterSeconds >= 0 {
+		t.Fatalf("persist-only query section: %+v", q)
 	}
 }
 
@@ -381,12 +401,8 @@ func TestResilienceConfig(t *testing.T) {
 	if got != want {
 		t.Fatalf("Core() = %+v, want %+v", got, want)
 	}
-	cfg, err := f.CoreConfig()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if cfg.DNSIdleTimeout != 45*time.Second {
-		t.Fatalf("DNSIdleTimeout = %v", cfg.DNSIdleTimeout)
+	if f.Correlator.DNSIdleTimeoutSeconds != 45 {
+		t.Fatalf("dns_idle_timeout_seconds = %d", f.Correlator.DNSIdleTimeoutSeconds)
 	}
 
 	// Rejections: malformed fault spec, empty point name, negative retry

@@ -34,7 +34,9 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"maps"
 	"os"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -327,6 +329,24 @@ func List() []Status {
 // EnableSpecs arms points from a "name=spec[;name=spec...]" list (';' or
 // ',' separated). Empty input is a no-op.
 func EnableSpecs(list string) error {
+	specs, err := ParseSpecs(list)
+	if err != nil {
+		return err
+	}
+	for _, name := range slices.Sorted(maps.Keys(specs)) {
+		if err := Enable(name, specs[name]); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// ParseSpecs splits a "name=spec[;name=spec...]" list (';' or ','
+// separated) into point name → spec without arming or grammar-checking
+// anything. A later entry for a name replaces an earlier one, as arming
+// them in order would.
+func ParseSpecs(list string) (map[string]string, error) {
+	specs := map[string]string{}
 	for _, item := range strings.FieldsFunc(list, func(r rune) bool { return r == ';' || r == ',' }) {
 		item = strings.TrimSpace(item)
 		if item == "" {
@@ -334,13 +354,11 @@ func EnableSpecs(list string) error {
 		}
 		name, spec, ok := strings.Cut(item, "=")
 		if !ok {
-			return fmt.Errorf("fault: malformed entry %q (want name=spec)", item)
+			return nil, fmt.Errorf("fault: malformed entry %q (want name=spec)", item)
 		}
-		if err := Enable(strings.TrimSpace(name), strings.TrimSpace(spec)); err != nil {
-			return err
-		}
+		specs[strings.TrimSpace(name)] = strings.TrimSpace(spec)
 	}
-	return nil
+	return specs, nil
 }
 
 // FromEnv arms points from the FLOWDNS_FAULTS environment variable.

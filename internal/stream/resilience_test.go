@@ -5,7 +5,6 @@ import (
 	"errors"
 	"net"
 	"strings"
-	"sync/atomic"
 	"testing"
 	"time"
 
@@ -90,8 +89,12 @@ func TestDNSListenerIdleTimeoutPropagates(t *testing.T) {
 	}
 	l := NewDNSListener(ln)
 	l.IdleTimeout = 50 * time.Millisecond
-	var streamErrs atomic.Uint64
-	l.OnStreamError = func(error) { streamErrs.Add(1) }
+	// Run bumps Timeouts before the listener goroutine reports the stream
+	// error, so the test waits on the callback itself, not the counter. The
+	// buffer leaves room for unexpected extra errors, so the listener never
+	// blocks on the callback and the test can count them.
+	streamErrs := make(chan error, 4)
+	l.OnStreamError = func(err error) { streamErrs <- err }
 	in := newTestIngest(64, 64)
 
 	ctx, cancel := context.WithCancel(context.Background())
@@ -106,14 +109,16 @@ func TestDNSListenerIdleTimeoutPropagates(t *testing.T) {
 	}
 	defer wedged.Close()
 	deadline := time.Now().Add(5 * time.Second)
-	for l.Stats().Timeouts == 0 {
-		if time.Now().After(deadline) {
-			t.Fatal("wedged stream never timed out")
-		}
-		time.Sleep(time.Millisecond)
+	select {
+	case <-streamErrs:
+	case <-time.After(5 * time.Second):
+		t.Fatal("wedged stream never reported an error")
 	}
-	if streamErrs.Load() != 1 {
-		t.Fatalf("OnStreamError calls = %d, want 1", streamErrs.Load())
+	if st := l.Stats(); st.Timeouts != 1 {
+		t.Fatalf("Timeouts = %d, want 1", st.Timeouts)
+	}
+	if n := len(streamErrs); n != 0 {
+		t.Fatalf("OnStreamError calls = %d, want 1", n+1)
 	}
 
 	// The listener survived: a healthy client still gets through.
