@@ -50,10 +50,12 @@ func BenchmarkSample(b *testing.B) {
 				}
 			}
 		}()
+		one := make([]int, 1)
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			q.Offer(i)
+			one[0] = i
+			q.OfferBatch(one)
 		}
 		b.StopTimer()
 		close(stop)

@@ -194,16 +194,20 @@ func BenchmarkSinkWrite(b *testing.B) {
 
 // BenchmarkPipelineBatchedWrites measures the full async pipeline with the
 // v2 batched write path: offered records per second from ingest façade to
-// sink across all stages.
+// sink across all stages. Destinations are spread so the flows partition
+// across every correlation lane, and the offer loop applies backpressure
+// per lane — a lane holds only its share of LookQueueCap — so the run
+// must end with zero drops.
 func BenchmarkPipelineBatchedWrites(b *testing.B) {
 	const services = 512
+	const offerBatch = 512
 	t0 := time.Unix(1653475200, 0)
-	flows := make([]netflow.FlowRecord, 4096)
+	flows := make([]netflow.FlowRecord, offerBatch)
 	for i := range flows {
 		flows[i] = netflow.FlowRecord{
 			Timestamp: t0,
 			SrcIP:     netip.AddrFrom4([4]byte{198, 51, byte((i % services) / 250), byte((i%services)%250 + 1)}),
-			DstIP:     netip.AddrFrom4([4]byte{10, 0, 0, 1}),
+			DstIP:     netip.AddrFrom4([4]byte{10, 0, byte(i >> 8), byte(i)}),
 			SrcPort:   443, DstPort: 50000, Proto: netflow.ProtoTCP,
 			Packets: 10, Bytes: 1500,
 		}
@@ -217,9 +221,11 @@ func BenchmarkPipelineBatchedWrites(b *testing.B) {
 			ctx, cancel := context.WithCancel(context.Background())
 			runDone := make(chan error, 1)
 			go func() { runDone <- c.Run(ctx) }()
-			for i := 0; i < services; i++ {
-				c.OfferDNS(benchDNSRecord(t0, i))
+			dns := make([]stream.DNSRecord, services)
+			for i := range dns {
+				dns[i] = benchDNSRecord(t0, i)
 			}
+			c.OfferDNSBatch(dns)
 			for c.Stats().DNSRecords < services {
 				time.Sleep(time.Millisecond)
 			}
@@ -228,16 +234,23 @@ func BenchmarkPipelineBatchedWrites(b *testing.B) {
 			// Offer with backpressure (never drop) and time until the sink
 			// has written everything, so the measurement is true
 			// ingest-to-sink throughput, not queue-offer cost.
-			var offered uint64
-			for i := 0; i < b.N; i += 512 {
-				for {
-					_, look, write := c.QueueDepths()
-					if look < cfg.LookQueueCap/2 && write < cfg.WriteQueueCap/2 {
-						break
+			// A batch fits when every lane could take all of it.
+			laneCap := c.Config().LookQueueCap / c.Lanes()
+			fits := func() bool {
+				for _, d := range c.LaneDepths() {
+					if d+offerBatch > laneCap {
+						return false
 					}
+				}
+				_, _, write := c.QueueDepths()
+				return write < cfg.WriteQueueCap/2
+			}
+			var offered uint64
+			for i := 0; i < b.N; i += offerBatch {
+				for !fits() {
 					time.Sleep(10 * time.Microsecond)
 				}
-				offered += uint64(c.OfferFlowBatch(flows[:512]))
+				offered += uint64(c.OfferFlowBatch(flows))
 			}
 			for c.Stats().Written < offered {
 				// A drop between the queues would make Written permanently
@@ -368,20 +381,24 @@ func BenchmarkCorrelate(b *testing.B) {
 		return flows
 	}
 	fill := func(c *core.Correlator) {
-		for i := 0; i < services; i++ {
-			c.IngestDNS(benchDNSRecord(t0, i))
+		dns := make([]stream.DNSRecord, services)
+		for i := range dns {
+			dns[i] = benchDNSRecord(t0, i)
 		}
+		c.IngestDNSBatch(dns)
 	}
 
 	b.Run("hit", func(b *testing.B) {
 		c := core.New(core.DefaultConfig())
 		fill(c)
 		flows := mkFlows()
+		out := make([]core.CorrelatedFlow, 0, 1)
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			cf := c.CorrelateFlow(flows[i%services])
-			if !cf.Correlated() {
+			j := i % services
+			out = c.CorrelateBatch(out[:0], flows[j:j+1])
+			if !out[0].Correlated() {
 				b.Fatal("expected hit")
 			}
 		}
@@ -393,10 +410,12 @@ func BenchmarkCorrelate(b *testing.B) {
 		for i := range flows {
 			flows[i].SrcIP = netip.AddrFrom4([4]byte{192, 0, 2, byte(i%250 + 1)})
 		}
+		out := make([]core.CorrelatedFlow, 0, 1)
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			c.CorrelateFlow(flows[i%services])
+			j := i % services
+			out = c.CorrelateBatch(out[:0], flows[j:j+1])
 		}
 	})
 	b.Run("parallel", func(b *testing.B) {
@@ -406,9 +425,11 @@ func BenchmarkCorrelate(b *testing.B) {
 		b.ReportAllocs()
 		b.ResetTimer()
 		b.RunParallel(func(pb *testing.PB) {
+			out := make([]core.CorrelatedFlow, 0, 1)
 			i := 0
 			for pb.Next() {
-				c.CorrelateFlow(flows[i%services])
+				j := i % services
+				out = c.CorrelateBatch(out[:0], flows[j:j+1])
 				i++
 			}
 		})
@@ -541,7 +562,8 @@ func BenchmarkExactTTL(b *testing.B) {
 // baseline (~220 ns/op engine, ~350 ns/op exact-TTL, 1 and 3 allocs/op
 // respectively).
 //
-//   - engine: record-at-a-time IngestDNS, Main config.
+//   - engine: record-at-a-time ingest (one-element IngestDNSBatch), Main
+//     config.
 //   - engine/batch=128: the fill-lane worker path — IngestDNSBatch with
 //     per-batch clear-up, stats, and shard-lock amortization.
 //   - exact-ttl, exact-ttl/batch=128: the same two paths in Appendix A.8
@@ -570,7 +592,7 @@ func BenchmarkIngestDNS(b *testing.B) {
 
 	seed := func(c *core.Correlator, recs []stream.DNSRecord) {
 		for i := range recs {
-			c.IngestDNS(recs[i])
+			c.IngestDNSBatch(recs[i : i+1])
 		}
 	}
 
@@ -581,7 +603,8 @@ func BenchmarkIngestDNS(b *testing.B) {
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			c.IngestDNS(recs[i%n])
+			j := i % n
+			c.IngestDNSBatch(recs[j : j+1])
 		}
 	}
 	// makeLaneBatches partitions recs per fill lane (as OfferDNSBatch
@@ -645,7 +668,8 @@ func BenchmarkIngestDNS(b *testing.B) {
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			c.IngestDNS(recs[i%n])
+			j := i % n
+			c.IngestDNSBatch(recs[j : j+1])
 		}
 	})
 
@@ -697,7 +721,7 @@ func BenchmarkFlattenResponse(b *testing.B) {
 	b.Run("fresh", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			if recs := stream.FlattenResponse(msg, t0); len(recs) != 4 {
+			if recs := stream.FlattenResponseInto(nil, msg, t0); len(recs) != 4 {
 				b.Fatal("bad flatten")
 			}
 		}
@@ -847,16 +871,16 @@ func snapshotBenchCorrelator(n int) *core.Correlator {
 	t0 := time.Unix(1653475200, 0)
 	for i := 0; i < n; i++ {
 		addr := netip.AddrFrom4([4]byte{10, byte(i >> 16), byte(i >> 8), byte(i)})
-		c.IngestDNS(stream.DNSRecord{
+		c.IngestDNSBatch([]stream.DNSRecord{{
 			Timestamp: t0, Query: fmt.Sprintf("edge%d.cdn.example", i%512),
 			RType: dnswire.TypeA, TTL: 300, Addr: addr,
-		})
+		}})
 		if i%8 == 0 {
-			c.IngestDNS(stream.DNSRecord{
+			c.IngestDNSBatch([]stream.DNSRecord{{
 				Timestamp: t0, Query: fmt.Sprintf("svc%d.example", i%512),
 				RType: dnswire.TypeCNAME, TTL: 300,
 				Answer: fmt.Sprintf("edge%d.cdn.example", i%512),
-			})
+			}})
 		}
 	}
 	return c
@@ -872,7 +896,7 @@ func BenchmarkSnapshot(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if err := c.WriteSnapshot(io.Discard, 1); err != nil {
+		if _, err := c.WriteSnapshotOwned(io.Discard, 1, nil); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -886,7 +910,7 @@ func BenchmarkRestore(b *testing.B) {
 	const n = 100_000
 	src := snapshotBenchCorrelator(n)
 	var buf bytes.Buffer
-	if err := src.WriteSnapshot(&buf, 1); err != nil {
+	if _, err := src.WriteSnapshotOwned(&buf, 1, nil); err != nil {
 		b.Fatal(err)
 	}
 	data := buf.Bytes()

@@ -39,7 +39,9 @@ func chaosConfig() core.Config {
 	return cfg
 }
 
-// faultHits returns the named failpoint's lifetime fire count.
+// faultHits returns the named failpoint's lifetime fire count. The count is
+// process-wide and survives re-runs (-count=N), so tests compare against a
+// reading taken before arming.
 func faultHits(t *testing.T, name string) uint64 {
 	t.Helper()
 	for _, st := range fault.List() {
@@ -68,17 +70,19 @@ func faultHits(t *testing.T, name string) uint64 {
 func TestChaosPipelineE2E(t *testing.T) {
 	defer fault.DisableAll()
 	const lookPanics = 5
+	lookHitsBefore := faultHits(t, "core.look.record")
 	if err := fault.Enable("core.look.record", "5*panic(chaos lane)"); err != nil {
 		t.Fatal(err)
 	}
 	const sinkOutage = 4
+	sinkHitsBefore := faultHits(t, "core.sink.write")
 	if err := fault.Enable("core.sink.write", "4*error(chaos outage)"); err != nil {
 		t.Fatal(err)
 	}
 
 	dir := t.TempDir()
 	spillPath := filepath.Join(dir, "spill.jsonl")
-	inner := core.NewCountingSink()
+	inner := newFlowCounter()
 	rs, err := core.NewRetrySink(inner, core.RetryConfig{
 		MaxRetries: 1,
 		Backoff:    time.Millisecond,
@@ -183,7 +187,7 @@ func TestChaosPipelineE2E(t *testing.T) {
 	if lookSup == nil || lookSup.Panics != lookPanics {
 		t.Fatalf("look supervision = %+v, want %d panics", lookSup, lookPanics)
 	}
-	if got := faultHits(t, "core.look.record"); got != lookPanics {
+	if got := faultHits(t, "core.look.record") - lookHitsBefore; got != lookPanics {
 		t.Fatalf("core.look.record hits = %d, want %d", got, lookPanics)
 	}
 	if st.WriteQueue.Offered() != st.LookQueue.Dequeued-st.Poisoned {
@@ -211,7 +215,7 @@ func TestChaosPipelineE2E(t *testing.T) {
 	if rstats.SpillDepth != 0 {
 		t.Fatalf("backlog not fully replayed after outage: depth %d", rstats.SpillDepth)
 	}
-	if got := faultHits(t, "core.sink.write"); got != sinkOutage {
+	if got := faultHits(t, "core.sink.write") - sinkHitsBefore; got != sinkOutage {
 		t.Fatalf("core.sink.write hits = %d, want %d", got, sinkOutage)
 	}
 
@@ -252,7 +256,7 @@ func TestChaosSoak(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	inner := core.NewCountingSink()
+	inner := newFlowCounter()
 	rs, err := core.NewRetrySink(inner, core.RetryConfig{
 		MaxRetries: 1,
 		Backoff:    time.Millisecond,

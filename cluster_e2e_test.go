@@ -14,6 +14,7 @@ package repro
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"fmt"
 	"net"
@@ -476,13 +477,13 @@ func TestClusterE2E(t *testing.T) {
 	oracle := core.New(core.DefaultConfig())
 	now := time.Now()
 	for _, s := range svcs {
-		oracle.IngestDNS(stream.DNSRecord{Timestamp: now, Query: s.name, RType: dnswire.TypeCNAME, TTL: 300, Answer: s.edge})
-		oracle.IngestDNS(stream.DNSRecord{Timestamp: now, Query: s.edge, RType: dnswire.TypeA, TTL: 300, Addr: s.addr})
+		oracle.IngestDNSBatch([]stream.DNSRecord{
+			{Timestamp: now, Query: s.name, RType: dnswire.TypeCNAME, TTL: 300, Answer: s.edge},
+			{Timestamp: now, Query: s.edge, RType: dnswire.TypeA, TTL: 300, Addr: s.addr},
+		})
 	}
 	oracleSink := core.NewCountingSink()
-	for _, fr := range flows {
-		oracleSink.Add(oracle.CorrelateFlow(fr))
-	}
+	oracleSink.WriteBatch(context.Background(), oracle.CorrelateBatch(nil, flows))
 	want := oracleSink.Bytes()
 
 	rows1, rows2 := readTSV(t, w1.outPath), readTSV(t, w2.outPath)
@@ -516,7 +517,7 @@ func TestClusterE2E(t *testing.T) {
 	}
 	wantPerNode := map[string]int{}
 	for _, fr := range flows {
-		wantPerNode[ring.OwnerName(core.IPHashAddr(fr.SrcIP))]++
+		wantPerNode[ring.Nodes()[ring.Owner(core.IPHashAddr(fr.SrcIP))]]++
 	}
 	if len(rows1) != wantPerNode["w1"] || len(rows2) != wantPerNode["w2"] {
 		t.Fatalf("placement mismatch: w1 wrote %d (ring says %d), w2 wrote %d (ring says %d)",
@@ -591,7 +592,7 @@ func TestClusterChaos(t *testing.T) {
 			b := uint64(bytesBase + nextFlow)
 			nextFlow++
 			expected[b] = s.name
-			owner[b] = ring.OwnerName(core.IPHashAddr(s.addr))
+			owner[b] = ring.Nodes()[ring.Owner(core.IPHashAddr(s.addr))]
 			if lenient {
 				relaxed[b] = true
 			} else {

@@ -15,6 +15,7 @@ package main
 
 import (
 	"context"
+	"errors"
 	"flag"
 	"log"
 	"net"
@@ -72,7 +73,7 @@ func main() {
 	start := time.Now()
 	ticker := time.NewTicker(100 * time.Millisecond)
 	defer ticker.Stop()
-	var sentDNS, sentFlows int
+	var sentDNS, sentFlows, unencodable int
 emit:
 	for {
 		var now time.Time
@@ -102,6 +103,13 @@ emit:
 				continue
 			}
 			if err := dnsSink.Send(msg); err != nil {
+				// The generator's malformed-domain population includes
+				// labels longer than the wire format allows: such an event
+				// cannot be sent, and the sink wrote nothing for it.
+				if errors.Is(err, dnswire.ErrLabelTooLong) {
+					unencodable++
+					continue
+				}
 				log.Fatalf("flowgen: dns send: %v", err)
 			}
 			sentDNS++
@@ -119,7 +127,8 @@ emit:
 			log.Fatalf("flowgen: netflow flush: %v", err)
 		}
 	}
-	log.Printf("flowgen: done; %d DNS query events, %d flow records", sentDNS, sentFlows)
+	log.Printf("flowgen: done; %d DNS query events, %d flow records, %d DNS events skipped as unencodable",
+		sentDNS, sentFlows, unencodable)
 }
 
 // toMessage re-assembles the flattened records of one query event into a

@@ -167,9 +167,9 @@ func correlate(dnsPath, flowPath, outPath string, variant core.Variant, sinkName
 	}
 	start := time.Now()
 	stream.MergeByTime(dns, flows,
-		c.IngestDNS,
-		func(fr netflow.FlowRecord) {
-			batch = append(batch, c.CorrelateFlow(fr))
+		c.IngestDNSBatch,
+		func(frs []netflow.FlowRecord) {
+			batch = c.CorrelateBatch(batch, frs)
 			if len(batch) >= batchSize {
 				flush()
 			}

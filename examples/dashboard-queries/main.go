@@ -77,9 +77,7 @@ func main() {
 	for h := 0; h < 24; h++ {
 		ts := start.Add(time.Duration(h) * time.Hour)
 		mult := workload.DiurnalMultiplier(float64(h))
-		for _, rec := range g.DNSBatch(ts, int(800*mult)) {
-			c.IngestDNS(rec)
-		}
+		c.IngestDNSBatch(g.DNSBatch(ts, int(800*mult)))
 		out = c.CorrelateBatch(out[:0], g.FlowBatch(ts, int(8000*mult)))
 		if err := sink.WriteBatch(ctx, out); err != nil {
 			log.Fatal(err)

@@ -46,18 +46,14 @@ func main() {
 	for h := 0; h < 24; h++ {
 		ts := start.Add(time.Duration(h) * time.Hour)
 		mult := workload.DiurnalMultiplier(float64(h))
-		for _, rec := range g.DNSBatch(ts, int(600*mult)) {
-			c.IngestDNS(rec)
-		}
+		c.IngestDNSBatch(g.DNSBatch(ts, int(600*mult)))
 		out = c.CorrelateBatch(out[:0], g.FlowBatch(ts, int(6000*mult)))
 		if err := sink.WriteBatch(ctx, out); err != nil {
 			log.Fatal(err)
 		}
 		for k := 0; k < 8; k++ {
 			recs, fl := g.SessionFor((h*8+k)%nBad, ts.Add(30*time.Minute), 1)
-			for _, rec := range recs {
-				c.IngestDNS(rec)
-			}
+			c.IngestDNSBatch(recs)
 			out = c.CorrelateBatch(out[:0], fl)
 			if err := sink.WriteBatch(ctx, out); err != nil {
 				log.Fatal(err)

@@ -32,26 +32,26 @@ func main() {
 	// The DNS stream saw a client resolve a CDN-hosted video service:
 	//   video.example.com CNAME edge7.cdn-west.net
 	//   edge7.cdn-west.net A 198.51.100.7
-	c.IngestDNS(stream.DNSRecord{
+	c.IngestDNSBatch([]stream.DNSRecord{{
 		Timestamp: now, Query: "video.example.com",
 		RType: dnswire.TypeCNAME, TTL: 300, Answer: "edge7.cdn-west.net",
-	})
-	c.IngestDNS(stream.DNSRecord{
+	}, {
 		Timestamp: now, Query: "edge7.cdn-west.net",
 		RType: dnswire.TypeA, TTL: 60, Answer: "198.51.100.7",
-	})
+	}})
 
 	// The NetFlow stream then saw 40 MB flow from that edge IP to a
 	// subscriber. Whose traffic is it?
-	cf := c.CorrelateFlow(netflow.FlowRecord{
+	out := c.CorrelateBatch(nil, []netflow.FlowRecord{{
 		Timestamp: now.Add(2 * time.Second),
 		SrcIP:     netip.MustParseAddr("198.51.100.7"),
 		DstIP:     netip.MustParseAddr("10.20.30.40"),
 		SrcPort:   443, DstPort: 51234, Proto: netflow.ProtoTCP,
 		Packets: 28000, Bytes: 40 << 20,
-	})
-	sink.WriteBatch(context.Background(), []core.CorrelatedFlow{cf})
+	}})
+	sink.WriteBatch(context.Background(), out)
 	sink.Flush()
+	cf := out[0]
 
 	fmt.Printf("\nresolved service: %s (tier=%s, CNAME hops=%d)\n",
 		cf.Name, cf.Tier, cf.ChainLen)

@@ -6,8 +6,10 @@ package repro
 import (
 	"context"
 	"fmt"
+	"maps"
 	"net"
 	"net/netip"
+	"sync"
 	"testing"
 	"time"
 
@@ -32,7 +34,7 @@ func TestLoopbackPipeline(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	sink := core.NewCountingSink()
+	sink := newFlowCounter()
 	// The full sharded topology: DNS TCP stream → 8 fill lanes (parallel
 	// batched FillUp) → 8 correlation lanes → sink.
 	cfg := core.DefaultConfig()
@@ -159,7 +161,7 @@ func TestShardedLanesEndToEnd(t *testing.T) {
 	}
 	cfg := core.DefaultConfig()
 	cfg.Lanes = 8
-	sink := core.NewCountingSink()
+	sink := newFlowCounter()
 	c := core.New(cfg,
 		core.WithSink(sink),
 		core.WithSources(stream.NewFlowUDPSource(nfConn)),
@@ -269,12 +271,8 @@ func TestVariantBehaviourCrossModule(t *testing.T) {
 		base := time.Date(2022, 5, 25, 0, 0, 0, 0, time.UTC)
 		for h := 0; h < 24; h++ {
 			ts := base.Add(time.Duration(h) * time.Hour)
-			for _, rec := range g.DNSBatch(ts, 300) {
-				c.IngestDNS(rec)
-			}
-			for _, fr := range g.FlowBatch(ts, 3000) {
-				c.CorrelateFlow(fr)
-			}
+			c.IngestDNSBatch(g.DNSBatch(ts, 300))
+			c.CorrelateBatch(nil, g.FlowBatch(ts, 3000))
 		}
 		return c.Stats()
 	}
@@ -329,7 +327,7 @@ func TestWireFidelity(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		flat := stream.FlattenResponse(got, ts)
+		flat := stream.FlattenResponseInto(nil, got, ts)
 		if len(flat) != 1 {
 			t.Fatalf("flatten = %d records", len(flat))
 		}
@@ -366,4 +364,32 @@ func TestWireFidelity(t *testing.T) {
 			t.Fatalf("v9 round trip altered flow: %+v -> %+v", fr, g)
 		}
 	}
+}
+
+// flowCounter is a core.CountingSink that also counts flows per name —
+// the delivery ground truth the tests reconcile against.
+type flowCounter struct {
+	*core.CountingSink
+	mu    sync.Mutex
+	flows map[string]uint64
+}
+
+func newFlowCounter() *flowCounter {
+	return &flowCounter{CountingSink: core.NewCountingSink(), flows: make(map[string]uint64)}
+}
+
+func (s *flowCounter) WriteBatch(ctx context.Context, batch []core.CorrelatedFlow) error {
+	s.mu.Lock()
+	for i := range batch {
+		s.flows[batch[i].Name]++
+	}
+	s.mu.Unlock()
+	return s.CountingSink.WriteBatch(ctx, batch)
+}
+
+// Flows returns a copy of the per-name flow counts.
+func (s *flowCounter) Flows() map[string]uint64 {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return maps.Clone(s.flows)
 }

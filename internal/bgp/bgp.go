@@ -16,7 +16,6 @@ import (
 	"io"
 	"net/netip"
 	"os"
-	"sort"
 	"strconv"
 	"strings"
 	"sync/atomic"
@@ -58,9 +57,6 @@ func NewTable() *Table {
 // Freeze ends the build phase: every later Insert fails with ErrFrozen.
 // Call it once the table is fully loaded, before sharing it with readers.
 func (t *Table) Freeze() { t.frozen.Store(true) }
-
-// Frozen reports whether Freeze has been called.
-func (t *Table) Frozen() bool { return t.frozen.Load() }
 
 // Insert adds prefix → asn, replacing any previous entry for the exact
 // prefix. Invalid prefixes are rejected, as is any insert after Freeze.
@@ -199,54 +195,4 @@ func LoadTable(path string) (*Table, error) {
 	}
 	defer f.Close()
 	return ParseTable(f)
-}
-
-// ASTraffic accumulates per-AS byte counts — the Fig 4 series "cumulative
-// traffic volume per source AS".
-type ASTraffic struct {
-	bytes map[uint32]uint64
-}
-
-// NewASTraffic returns an empty accumulator.
-func NewASTraffic() *ASTraffic { return &ASTraffic{bytes: make(map[uint32]uint64)} }
-
-// Add attributes n bytes to the AS owning addr; unroutable addresses are
-// attributed to AS 0.
-func (a *ASTraffic) Add(t *Table, addr netip.Addr, n uint64) {
-	asn, _ := t.Lookup(addr)
-	a.bytes[asn] += n
-}
-
-// Total returns the byte counter for asn.
-func (a *ASTraffic) Total(asn uint32) uint64 { return a.bytes[asn] }
-
-// Top returns up to k (asn, bytes) pairs sorted by descending bytes.
-func (a *ASTraffic) Top(k int) []Assignment2 {
-	out := make([]Assignment2, 0, len(a.bytes))
-	for asn, b := range a.bytes {
-		out = append(out, Assignment2{ASN: asn, Bytes: b})
-	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Bytes != out[j].Bytes {
-			return out[i].Bytes > out[j].Bytes
-		}
-		return out[i].ASN < out[j].ASN
-	})
-	if len(out) > k {
-		out = out[:k]
-	}
-	return out
-}
-
-// Assignment2 is one row of ASTraffic.Top.
-type Assignment2 struct {
-	ASN   uint32
-	Bytes uint64
-}
-
-// String formats like "AS64500:12345".
-func (a Assignment2) String() string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "AS%d:%d", a.ASN, a.Bytes)
-	return b.String()
 }

@@ -133,28 +133,6 @@ func TestBuild(t *testing.T) {
 	}
 }
 
-func TestASTraffic(t *testing.T) {
-	tbl, _ := Build([]Assignment{
-		{Prefix: mustPrefix(t, "100.64.0.0/16"), ASN: 64500},
-		{Prefix: mustPrefix(t, "100.65.0.0/16"), ASN: 64501},
-	})
-	acc := NewASTraffic()
-	acc.Add(tbl, netip.MustParseAddr("100.64.0.1"), 1000)
-	acc.Add(tbl, netip.MustParseAddr("100.64.0.2"), 500)
-	acc.Add(tbl, netip.MustParseAddr("100.65.0.1"), 200)
-	acc.Add(tbl, netip.MustParseAddr("9.9.9.9"), 77) // unroutable -> AS 0
-	if acc.Total(64500) != 1500 || acc.Total(64501) != 200 || acc.Total(0) != 77 {
-		t.Fatalf("totals = %d/%d/%d", acc.Total(64500), acc.Total(64501), acc.Total(0))
-	}
-	top := acc.Top(2)
-	if len(top) != 2 || top[0].ASN != 64500 || top[1].ASN != 64501 {
-		t.Fatalf("top = %v", top)
-	}
-	if top[0].String() != "AS64500:1500" {
-		t.Fatalf("String = %q", top[0].String())
-	}
-}
-
 // Property: the trie agrees with a linear scan over masked prefixes.
 func TestQuickTrieMatchesLinearScan(t *testing.T) {
 	f := func(seed int64) bool {

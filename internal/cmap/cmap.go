@@ -15,7 +15,7 @@ import (
 	"sync/atomic"
 )
 
-// DefaultShardCount is the number of shards used by New. 32 matches the
+// DefaultShardCount is the default number of shards per map. 32 matches the
 // upstream concurrent-map default.
 const DefaultShardCount = 32
 
@@ -27,7 +27,7 @@ const DefaultShardCount = 32
 // of the former "value\x00unixNano" string concatenation, and reads it back
 // with one field load instead of a strconv parse per hit.
 //
-// The zero value is not usable; construct with New or NewWithShards.
+// The zero value is not usable; construct with NewWithShards.
 type Map struct {
 	shards []*shard
 	mask   uint32 // len(shards)-1 when power of two; otherwise 0 and mod is used
@@ -56,9 +56,6 @@ type shard struct {
 	mb table
 }
 
-// ipKey is the binary key type: the 16-byte canonical address form.
-type ipKey = [16]byte
-
 // entry is the typed map value: the stored string plus an optional expiry
 // (UnixNano; 0 = never expires). Storing the pair inline avoids the alloc
 // of encoding the expiry into the value string on every put and the parse
@@ -77,9 +74,6 @@ type Item struct {
 	Value string
 	Exp   int64
 }
-
-// New returns a Map with DefaultShardCount shards.
-func New() *Map { return NewWithShards(DefaultShardCount) }
 
 // NewWithShards returns a Map with n shards. n must be >= 1; values that are
 // not powers of two are supported but pay a modulo on every access.
@@ -124,10 +118,6 @@ func Hash(key string) uint32 { return fnv32(key) }
 // lookups find entries stored with string keys.
 func HashBytes(key []byte) uint32 { return fnv32(key) }
 
-func (m *Map) shardFor(key string) *shard {
-	return m.shardForHash(fnv32(key))
-}
-
 func (m *Map) shardForHash(h uint32) *shard {
 	// Fold the high bits in before masking: callers above (the
 	// correlator's store) carve lane and split indices out of the low
@@ -140,9 +130,6 @@ func (m *Map) shardForHash(h uint32) *shard {
 	}
 	return m.shards[h%uint32(len(m.shards))]
 }
-
-// Set stores value under key, replacing any previous value.
-func (m *Map) Set(key, value string) { m.SetHash(fnv32(key), key, value) }
 
 // SetHash is Set with a caller-supplied Hash(key), sparing the recompute
 // when the caller already hashed the key for split or lane selection.
@@ -161,16 +148,11 @@ func (m *Map) SetHashExpire(h uint32, key, value string, exp int64) {
 	s.mu.Unlock()
 }
 
-// SetBytesHash stores value under key in the binary key space (16-byte
-// keys) or, for other lengths, under the string form of key. Binary keys
-// are stored inline — no allocation on insert or overwrite; string-space
-// inserts copy the bytes into a fresh key string.
-func (m *Map) SetBytesHash(h uint32, key []byte, value string) {
-	m.SetBytesHashExpire(h, key, value, 0)
-}
-
-// SetBytesHashExpire is SetBytesHash with an expiry instant (UnixNano;
-// 0 = never).
+// SetBytesHashExpire stores (value, exp) under key — exp in UnixNano, 0 =
+// never — in the binary key space (16-byte keys) or, for other lengths,
+// under the string form of key. Binary keys are stored inline — no
+// allocation on insert or overwrite; string-space inserts copy the bytes
+// into a fresh key string.
 func (m *Map) SetBytesHashExpire(h uint32, key []byte, value string, exp int64) {
 	s := m.shardForHash(h)
 	s.mu.Lock()
@@ -226,26 +208,8 @@ func (m *Map) SetItems(items []Item) {
 	}
 }
 
-// SetIfAbsent stores value under key only if the key is not already present.
-// It reports whether the value was stored.
-func (m *Map) SetIfAbsent(key, value string) bool {
-	s := m.shardFor(key)
-	s.mu.Lock()
-	_, ok := s.m[key]
-	if !ok {
-		s.m[key] = entry{v: value}
-		m.count.Add(1)
-	}
-	s.mu.Unlock()
-	return !ok
-}
-
-// Get returns the value stored under key and whether it was present.
-func (m *Map) Get(key string) (string, bool) {
-	return m.GetHash(fnv32(key), key)
-}
-
-// GetHash is Get with a caller-supplied Hash(key).
+// GetHash returns the value stored under key, whose Hash is h, and whether
+// it was present.
 func (m *Map) GetHash(h uint32, key string) (string, bool) {
 	s := m.shardForHash(h)
 	s.mu.RLock()
@@ -265,16 +229,11 @@ func (m *Map) GetHashExpire(h uint32, key string) (string, int64, bool) {
 	return e.v, e.exp, ok
 }
 
-// GetBytes looks key up without any allocation: 16-byte keys probe the
-// binary key space (an inline array probe — what keeps the correlator's
-// LookUp hit path at zero allocations per flow), other lengths probe the
-// string space through the compiler's map-index-by-converted-byte-slice
-// optimization.
-func (m *Map) GetBytes(key []byte) (string, bool) {
-	return m.GetBytesHash(HashBytes(key), key)
-}
-
-// GetBytesHash is GetBytes with a caller-supplied HashBytes(key).
+// GetBytesHash looks key, whose HashBytes is h, up without any allocation:
+// 16-byte keys probe the binary key space (an inline array probe — what
+// keeps the correlator's LookUp hit path at zero allocations per flow),
+// other lengths probe the string space through the compiler's
+// map-index-by-converted-byte-slice optimization.
 func (m *Map) GetBytesHash(h uint32, key []byte) (string, bool) {
 	s := m.shardForHash(h)
 	if len(key) == 16 {
@@ -311,25 +270,6 @@ func (m *Map) GetBytesHashExpire(h uint32, key []byte) (string, int64, bool) {
 // lands, exactly as a probe racing that insert could miss the entry.
 func (m *Map) Empty() bool { return m.count.Load() == 0 }
 
-// Has reports whether key is present.
-func (m *Map) Has(key string) bool {
-	_, ok := m.Get(key)
-	return ok
-}
-
-// Remove deletes key. It reports whether the key was present.
-func (m *Map) Remove(key string) bool {
-	s := m.shardFor(key)
-	s.mu.Lock()
-	_, ok := s.m[key]
-	delete(s.m, key)
-	if ok {
-		m.count.Add(-1)
-	}
-	s.mu.Unlock()
-	return ok
-}
-
 // Len returns the total number of entries across all shards. The result is a
 // point-in-time aggregate: concurrent mutations may be partially reflected.
 func (m *Map) Len() int {
@@ -355,71 +295,6 @@ func (m *Map) Clear() {
 	}
 }
 
-// Items returns a copy of the full contents. Binary keys appear as the raw
-// 16-byte string form of their key. Used by tests and by buffer rotation
-// fallbacks; O(n) and allocates.
-func (m *Map) Items() map[string]string {
-	out := make(map[string]string, m.Len())
-	for _, s := range m.shards {
-		s.mu.RLock()
-		for k, e := range s.m {
-			out[k] = e.v
-		}
-		s.mb.iterate(func(sl *oaSlot) bool {
-			out[string(sl.key[:])] = sl.v
-			return true
-		})
-		s.mu.RUnlock()
-	}
-	return out
-}
-
-// Range calls fn for every key/value pair until fn returns false. Each shard
-// is read-locked while it is being iterated; fn must not call back into the
-// same Map's mutating methods for keys in the shard being iterated.
-// Binary-space entries are visited too, their keys rendered as the raw
-// 16-byte string form.
-func (m *Map) Range(fn func(key, value string) bool) {
-	for _, s := range m.shards {
-		s.mu.RLock()
-		for k, e := range s.m {
-			if !fn(k, e.v) {
-				s.mu.RUnlock()
-				return
-			}
-		}
-		if !s.mb.iterate(func(sl *oaSlot) bool { return fn(string(sl.key[:]), sl.v) }) {
-			s.mu.RUnlock()
-			return
-		}
-		s.mu.RUnlock()
-	}
-}
-
-// RangeExpire is Range with the stored expiry: fn receives each entry's
-// (key, value, exp) triple — exp in UnixNano, 0 = never expires — until it
-// returns false. Shards are read-locked one at a time (lock-striped, like
-// Range), so a long iteration never freezes the whole map; fn must not call
-// back into the same Map's mutating methods for keys in the shard being
-// iterated. Binary-space entries are visited with their keys rendered as
-// the raw 16-byte string form.
-func (m *Map) RangeExpire(fn func(key, value string, exp int64) bool) {
-	for _, s := range m.shards {
-		s.mu.RLock()
-		for k, e := range s.m {
-			if !fn(k, e.v, e.exp) {
-				s.mu.RUnlock()
-				return
-			}
-		}
-		if !s.mb.iterate(func(sl *oaSlot) bool { return fn(string(sl.key[:]), sl.v, sl.exp) }) {
-			s.mu.RUnlock()
-			return
-		}
-		s.mu.RUnlock()
-	}
-}
-
 // KeySpace selects one of a shard's two key namespaces for AppendShard.
 // String and binary keys are separate namespaces (a 16-byte string key and
 // a 16-byte binary key are different entries), so an iteration that intends
@@ -430,8 +305,8 @@ type KeySpace uint8
 const (
 	// Strings is the string key space (SetHash and friends).
 	Strings KeySpace = iota
-	// Binary is the 16-byte binary key space (SetBytesHash with a 16-byte
-	// key).
+	// Binary is the 16-byte binary key space (SetBytesHashExpire with a
+	// 16-byte key).
 	Binary
 )
 

@@ -9,23 +9,53 @@ import (
 	"testing/quick"
 )
 
+// set, get and has address a string key through its Hash, as every caller
+// of the map does.
+func set(m *Map, k, v string) { m.SetHash(Hash(k), k, v) }
+
+func get(m *Map, k string) (string, bool) { return m.GetHash(Hash(k), k) }
+
+func has(m *Map, k string) bool {
+	_, ok := get(m, k)
+	return ok
+}
+
+// removeKey deletes string key k, reporting whether it was present.
+func removeKey(m *Map, k string) bool {
+	return m.RemoveIf(func(key, _ string, _ int64) bool { return key == k }) == 1
+}
+
+// items collects every entry of both key spaces through AppendShard, keyed
+// by the key bytes (a binary key in its raw 16-byte string form).
+func items(m *Map) map[string]Item {
+	out := make(map[string]Item)
+	for sh := 0; sh < m.ShardCount(); sh++ {
+		for _, space := range []KeySpace{Strings, Binary} {
+			for _, it := range m.AppendShard(sh, space, nil) {
+				out[string(it.Key)] = it
+			}
+		}
+	}
+	return out
+}
+
 func TestSetGet(t *testing.T) {
-	m := New()
-	m.Set("a.example.com", "svc.example.com")
-	v, ok := m.Get("a.example.com")
+	m := NewWithShards(DefaultShardCount)
+	set(m, "a.example.com", "svc.example.com")
+	v, ok := get(m, "a.example.com")
 	if !ok || v != "svc.example.com" {
 		t.Fatalf("Get = %q, %v; want svc.example.com, true", v, ok)
 	}
-	if _, ok := m.Get("missing"); ok {
+	if _, ok := get(m, "missing"); ok {
 		t.Fatal("Get(missing) reported present")
 	}
 }
 
 func TestSetOverwrites(t *testing.T) {
-	m := New()
-	m.Set("k", "v1")
-	m.Set("k", "v2")
-	if v, _ := m.Get("k"); v != "v2" {
+	m := NewWithShards(DefaultShardCount)
+	set(m, "k", "v1")
+	set(m, "k", "v2")
+	if v, _ := get(m, "k"); v != "v2" {
 		t.Fatalf("overwrite: got %q, want v2", v)
 	}
 	if m.Len() != 1 {
@@ -34,28 +64,28 @@ func TestSetOverwrites(t *testing.T) {
 }
 
 func TestSetIfAbsent(t *testing.T) {
-	m := New()
+	m := NewWithShards(DefaultShardCount)
 	if !m.SetIfAbsent("k", "v1") {
 		t.Fatal("first SetIfAbsent returned false")
 	}
 	if m.SetIfAbsent("k", "v2") {
 		t.Fatal("second SetIfAbsent returned true")
 	}
-	if v, _ := m.Get("k"); v != "v1" {
+	if v, _ := get(m, "k"); v != "v1" {
 		t.Fatalf("value = %q, want v1", v)
 	}
 }
 
 func TestRemove(t *testing.T) {
-	m := New()
-	m.Set("k", "v")
-	if !m.Remove("k") {
+	m := NewWithShards(DefaultShardCount)
+	set(m, "k", "v")
+	if !removeKey(m, "k") {
 		t.Fatal("Remove existing returned false")
 	}
-	if m.Remove("k") {
+	if removeKey(m, "k") {
 		t.Fatal("Remove missing returned true")
 	}
-	if m.Has("k") {
+	if has(m, "k") {
 		t.Fatal("key still present after Remove")
 	}
 }
@@ -63,7 +93,7 @@ func TestRemove(t *testing.T) {
 func TestLenAndClear(t *testing.T) {
 	m := NewWithShards(8)
 	for i := 0; i < 100; i++ {
-		m.Set(strconv.Itoa(i), "v")
+		set(m, strconv.Itoa(i), "v")
 	}
 	if m.Len() != 100 {
 		t.Fatalf("Len = %d, want 100", m.Len())
@@ -75,36 +105,26 @@ func TestLenAndClear(t *testing.T) {
 }
 
 func TestItemsAndRange(t *testing.T) {
-	m := New()
+	m := NewWithShards(DefaultShardCount)
 	want := map[string]string{"a": "1", "b": "2", "c": "3"}
 	for k, v := range want {
-		m.Set(k, v)
+		set(m, k, v)
 	}
-	got := m.Items()
+	got := items(m)
 	if len(got) != len(want) {
 		t.Fatalf("Items len = %d, want %d", len(got), len(want))
 	}
 	for k, v := range want {
-		if got[k] != v {
-			t.Errorf("Items[%q] = %q, want %q", k, got[k], v)
+		if got[k].Value != v {
+			t.Errorf("Items[%q] = %q, want %q", k, got[k].Value, v)
 		}
-	}
-	n := 0
-	m.Range(func(k, v string) bool { n++; return true })
-	if n != len(want) {
-		t.Fatalf("Range visited %d, want %d", n, len(want))
-	}
-	n = 0
-	m.Range(func(k, v string) bool { n++; return false })
-	if n != 1 {
-		t.Fatalf("Range early-stop visited %d, want 1", n)
 	}
 }
 
 func TestRemoveIf(t *testing.T) {
-	m := New()
+	m := NewWithShards(DefaultShardCount)
 	for i := 0; i < 50; i++ {
-		m.Set(strconv.Itoa(i), strconv.Itoa(i%2))
+		set(m, strconv.Itoa(i), strconv.Itoa(i%2))
 	}
 	removed := m.RemoveIf(func(k, v string, _ int64) bool { return v == "0" })
 	if removed != 25 {
@@ -113,20 +133,19 @@ func TestRemoveIf(t *testing.T) {
 	if m.Len() != 25 {
 		t.Fatalf("Len = %d, want 25", m.Len())
 	}
-	m.Range(func(k, v string) bool {
-		if v != "1" {
-			t.Errorf("unexpected survivor %q=%q", k, v)
+	for k, it := range items(m) {
+		if it.Value != "1" {
+			t.Errorf("unexpected survivor %q=%q", k, it.Value)
 		}
-		return true
-	})
+	}
 }
 
 func TestSnapshotRotation(t *testing.T) {
 	active := NewWithShards(16)
 	inactive := NewWithShards(16)
-	inactive.Set("stale", "old-generation")
+	set(inactive, "stale", "old-generation")
 	for i := 0; i < 200; i++ {
-		active.Set("k"+strconv.Itoa(i), "v")
+		set(active, "k"+strconv.Itoa(i), "v")
 	}
 	active.Snapshot(inactive)
 	if active.Len() != 0 {
@@ -135,12 +154,12 @@ func TestSnapshotRotation(t *testing.T) {
 	if inactive.Len() != 200 {
 		t.Fatalf("inactive Len = %d, want 200", inactive.Len())
 	}
-	if inactive.Has("stale") {
+	if has(inactive, "stale") {
 		t.Fatal("rotation must overwrite previous inactive contents")
 	}
 	// Active remains usable after handover.
-	active.Set("fresh", "v")
-	if !active.Has("fresh") {
+	set(active, "fresh", "v")
+	if !has(active, "fresh") {
 		t.Fatal("active unusable after Snapshot")
 	}
 }
@@ -149,7 +168,7 @@ func TestSnapshotMismatchedShards(t *testing.T) {
 	active := NewWithShards(4)
 	inactive := NewWithShards(7) // non power of two, different count
 	for i := 0; i < 64; i++ {
-		active.Set(strconv.Itoa(i), "v")
+		set(active, strconv.Itoa(i), "v")
 	}
 	active.Snapshot(inactive)
 	if inactive.Len() != 64 || active.Len() != 0 {
@@ -158,10 +177,10 @@ func TestSnapshotMismatchedShards(t *testing.T) {
 }
 
 func TestSnapshotNilDst(t *testing.T) {
-	m := New()
-	m.Set("k", "v")
+	m := NewWithShards(DefaultShardCount)
+	set(m, "k", "v")
 	m.Snapshot(nil) // must not panic
-	if !m.Has("k") {
+	if !has(m, "k") {
 		t.Fatal("Snapshot(nil) mutated the map")
 	}
 }
@@ -171,8 +190,8 @@ func TestNewWithShardsClamps(t *testing.T) {
 	if m.ShardCount() != 1 {
 		t.Fatalf("ShardCount = %d, want 1", m.ShardCount())
 	}
-	m.Set("k", "v")
-	if !m.Has("k") {
+	set(m, "k", "v")
+	if !has(m, "k") {
 		t.Fatal("single-shard map broken")
 	}
 }
@@ -180,10 +199,10 @@ func TestNewWithShardsClamps(t *testing.T) {
 func TestNonPowerOfTwoShards(t *testing.T) {
 	m := NewWithShards(10) // FlowDNS uses NUM_SPLIT=10
 	for i := 0; i < 1000; i++ {
-		m.Set(fmt.Sprintf("key-%d", i), strconv.Itoa(i))
+		set(m, fmt.Sprintf("key-%d", i), strconv.Itoa(i))
 	}
 	for i := 0; i < 1000; i++ {
-		v, ok := m.Get(fmt.Sprintf("key-%d", i))
+		v, ok := get(m, fmt.Sprintf("key-%d", i))
 		if !ok || v != strconv.Itoa(i) {
 			t.Fatalf("key-%d: got %q,%v", i, v, ok)
 		}
@@ -191,7 +210,7 @@ func TestNonPowerOfTwoShards(t *testing.T) {
 }
 
 func TestConcurrentAccess(t *testing.T) {
-	m := New()
+	m := NewWithShards(DefaultShardCount)
 	var wg sync.WaitGroup
 	const workers = 16
 	const perWorker = 500
@@ -201,8 +220,8 @@ func TestConcurrentAccess(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < perWorker; i++ {
 				k := fmt.Sprintf("w%d-%d", w, i)
-				m.Set(k, "v")
-				if _, ok := m.Get(k); !ok {
+				set(m, k, "v")
+				if _, ok := get(m, k); !ok {
 					t.Errorf("own write not visible: %s", k)
 					return
 				}
@@ -217,8 +236,8 @@ func TestConcurrentAccess(t *testing.T) {
 
 func TestConcurrentRotationDuringWrites(t *testing.T) {
 	// Simulates FillUp workers writing while the clear-up rotation runs.
-	active := New()
-	inactive := New()
+	active := NewWithShards(DefaultShardCount)
+	inactive := NewWithShards(DefaultShardCount)
 	stop := make(chan struct{})
 	var wg sync.WaitGroup
 	wg.Add(1)
@@ -230,7 +249,7 @@ func TestConcurrentRotationDuringWrites(t *testing.T) {
 			case <-stop:
 				return
 			default:
-				active.Set(strconv.Itoa(i), "v")
+				set(active, strconv.Itoa(i), "v")
 				i++
 			}
 		}
@@ -252,14 +271,14 @@ func TestQuickSequentialEquivalence(t *testing.T) {
 			if i < len(values) {
 				v = values[i]
 			}
-			m.Set(k, v)
+			set(m, k, v)
 			ref[k] = v
 		}
 		if m.Len() != len(ref) {
 			return false
 		}
 		for k, v := range ref {
-			got, ok := m.Get(k)
+			got, ok := get(m, k)
 			if !ok || got != v {
 				return false
 			}
@@ -277,7 +296,7 @@ func TestQuickSnapshotMoves(t *testing.T) {
 		a, b := NewWithShards(8), NewWithShards(8)
 		ref := map[string]bool{}
 		for _, k := range keys {
-			a.Set(k, "x")
+			set(a, k, "x")
 			ref[k] = true
 		}
 		a.Snapshot(b)
@@ -285,7 +304,7 @@ func TestQuickSnapshotMoves(t *testing.T) {
 			return false
 		}
 		for k := range ref {
-			if !b.Has(k) {
+			if !has(b, k) {
 				return false
 			}
 		}
@@ -304,7 +323,7 @@ func BenchmarkSet(b *testing.B) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		m.Set(keys[i&1023], "cdn.example.com")
+		set(m, keys[i&1023], "cdn.example.com")
 	}
 }
 
@@ -313,13 +332,13 @@ func BenchmarkGetParallel(b *testing.B) {
 	keys := make([]string, 1024)
 	for i := range keys {
 		keys[i] = fmt.Sprintf("198.51.%d.%d", i/256, i%256)
-		m.Set(keys[i], "cdn.example.com")
+		set(m, keys[i], "cdn.example.com")
 	}
 	b.ResetTimer()
 	b.RunParallel(func(pb *testing.PB) {
 		i := 0
 		for pb.Next() {
-			m.Get(keys[i&1023])
+			get(m, keys[i&1023])
 			i++
 		}
 	})
@@ -327,12 +346,13 @@ func BenchmarkGetParallel(b *testing.B) {
 
 func TestGetBytesFindsStringKeys(t *testing.T) {
 	m := NewWithShards(8)
-	m.Set("198.51.100.7", "cdn.example")
-	if v, ok := m.GetBytes([]byte("198.51.100.7")); !ok || v != "cdn.example" {
-		t.Fatalf("GetBytes = %q, %v", v, ok)
+	set(m, "198.51.100.7", "cdn.example")
+	k7, k8 := []byte("198.51.100.7"), []byte("198.51.100.8")
+	if v, ok := m.GetBytesHash(HashBytes(k7), k7); !ok || v != "cdn.example" {
+		t.Fatalf("GetBytesHash = %q, %v", v, ok)
 	}
-	if _, ok := m.GetBytes([]byte("198.51.100.8")); ok {
-		t.Fatal("GetBytes found absent key")
+	if _, ok := m.GetBytesHash(HashBytes(k8), k8); ok {
+		t.Fatal("GetBytesHash found absent key")
 	}
 	// Hash equivalence: byte and string forms must agree, or shard
 	// selection would diverge between fills and lookups.
@@ -345,7 +365,7 @@ func TestSetBytesHashRoundTrip(t *testing.T) {
 	m := NewWithShards(8)
 	key := []byte{0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0xff, 0xff, 198, 51, 100, 7}
 	h := HashBytes(key)
-	m.SetBytesHash(h, key, "svc.example")
+	m.SetBytesHashExpire(h, key, "svc.example", 0)
 	if v, ok := m.GetBytesHash(h, key); !ok || v != "svc.example" {
 		t.Fatalf("GetBytesHash = %q, %v", v, ok)
 	}
@@ -367,15 +387,15 @@ func TestEmptyTracksEntryCount(t *testing.T) {
 	if !m.Empty() {
 		t.Fatal("fresh map not empty")
 	}
-	m.Set("a", "1")
-	m.Set("a", "2") // replace: still one entry
-	m.Set("b", "3")
+	set(m, "a", "1")
+	set(m, "a", "2") // replace: still one entry
+	set(m, "b", "3")
 	if m.Empty() {
 		t.Fatal("map with entries reports empty")
 	}
-	m.Remove("a")
-	m.Remove("a") // absent: no double decrement
-	m.Remove("b")
+	removeKey(m, "a")
+	removeKey(m, "a") // absent: no double decrement
+	removeKey(m, "b")
 	if !m.Empty() {
 		t.Fatal("drained map not empty")
 	}
@@ -388,8 +408,8 @@ func TestEmptyTracksEntryCount(t *testing.T) {
 	if !m.Empty() {
 		t.Fatal("cleared map not empty")
 	}
-	m.Set("d", "6")
-	m.Set("e", "7")
+	set(m, "d", "6")
+	set(m, "e", "7")
 	if n := m.RemoveIf(func(k, _ string, _ int64) bool { return k == "d" }); n != 1 {
 		t.Fatalf("RemoveIf = %d", n)
 	}
@@ -404,9 +424,9 @@ func TestEmptyTracksEntryCount(t *testing.T) {
 
 func TestEmptyAcrossSnapshot(t *testing.T) {
 	src, dst := NewWithShards(4), NewWithShards(4)
-	src.Set("a", "1")
-	src.Set("b", "2")
-	dst.Set("stale", "x")
+	set(src, "a", "1")
+	set(src, "b", "2")
+	set(dst, "stale", "x")
 	src.Snapshot(dst)
 	if !src.Empty() {
 		t.Fatal("source not empty after snapshot")
@@ -419,7 +439,7 @@ func TestEmptyAcrossSnapshot(t *testing.T) {
 	}
 	// Mismatched shard counts take the copy path; counts must still track.
 	src2, dst2 := NewWithShards(4), NewWithShards(8)
-	src2.Set("c", "3")
+	set(src2, "c", "3")
 	src2.Snapshot(dst2)
 	if !src2.Empty() || dst2.Empty() {
 		t.Fatalf("copy-path snapshot counts wrong: src empty=%v dst empty=%v",
@@ -430,7 +450,7 @@ func TestEmptyAcrossSnapshot(t *testing.T) {
 // --- typed expiry entries and batched inserts (fill-path PR) ---
 
 func TestExpireRoundTrip(t *testing.T) {
-	m := New()
+	m := NewWithShards(DefaultShardCount)
 	h := Hash("k")
 	m.SetHashExpire(h, "k", "v", 12345)
 	v, exp, ok := m.GetHashExpire(h, "k")
@@ -453,7 +473,7 @@ func TestExpireRoundTrip(t *testing.T) {
 		t.Fatalf("string probe of byte-keyed entry = %q, %d, %v", v, exp, ok)
 	}
 	// The plain getters still see the value regardless of expiry.
-	if v, ok := m.Get("bk"); !ok || v != "bv" {
+	if v, ok := get(m, "bk"); !ok || v != "bv" {
 		t.Fatalf("Get = %q, %v", v, ok)
 	}
 	// 16-byte keys live in the binary key space: visible to the byte-keyed
@@ -464,16 +484,16 @@ func TestExpireRoundTrip(t *testing.T) {
 	if v, exp, ok := m.GetBytesHashExpire(HashBytes(bin), bin); !ok || v != "binv" || exp != 5 {
 		t.Fatalf("binary-space get = %q, %d, %v", v, exp, ok)
 	}
-	if _, ok := m.Get("0123456789abcdef"); ok {
+	if _, ok := get(m, "0123456789abcdef"); ok {
 		t.Fatal("string probe crossed into the binary key space")
 	}
-	if got := m.Items()["0123456789abcdef"]; got != "binv" {
+	if got := items(m)["0123456789abcdef"].Value; got != "binv" {
 		t.Fatalf("Items missed binary entry: %q", got)
 	}
 }
 
 func TestRemoveIfSeesExpiry(t *testing.T) {
-	m := New()
+	m := NewWithShards(DefaultShardCount)
 	for i := 0; i < 100; i++ {
 		k := fmt.Sprintf("k%d", i)
 		m.SetHashExpire(Hash(k), k, "v", int64(i))
@@ -525,7 +545,7 @@ func TestSetItems(t *testing.T) {
 				keys[i][j] = 'x'
 			}
 		}
-		if v, ok := m.Get("key42"); !ok || v != "val0" {
+		if v, ok := get(m, "key42"); !ok || v != "val0" {
 			t.Fatalf("shards=%d: after clobber Get(key42) = %q, %v", shards, v, ok)
 		}
 	}
@@ -547,7 +567,7 @@ func TestSnapshotPreservesExpiry(t *testing.T) {
 	// Both the same-shard pointer-swap path and the rehash path must carry
 	// the typed expiry across rotation.
 	for _, dstShards := range []int{DefaultShardCount, 8} {
-		src := New()
+		src := NewWithShards(DefaultShardCount)
 		dst := NewWithShards(dstShards)
 		src.SetHashExpire(Hash("k"), "k", "v", 999)
 		src.Snapshot(dst)
@@ -566,7 +586,7 @@ func TestSetBytesOverwriteDoesNotAliasKey(t *testing.T) {
 	// each put must leave the map intact. (Regression: a plain map
 	// assignment through a no-copy string view replaces the stored key's
 	// pointer, silently aliasing the buffer.)
-	m := New()
+	m := NewWithShards(DefaultShardCount)
 	buf := []byte("key-one")
 	h := HashBytes(buf)
 	m.SetBytesHashExpire(h, buf, "v1", 1)
@@ -583,7 +603,7 @@ func TestSetBytesOverwriteDoesNotAliasKey(t *testing.T) {
 }
 
 func TestSetBytesOverwriteAllocFree(t *testing.T) {
-	m := New()
+	m := NewWithShards(DefaultShardCount)
 	key := []byte("16-byte-bin-key!") // binary key space: inline, alloc-free
 	h := HashBytes(key)
 	m.SetBytesHashExpire(h, key, "v", 7)
@@ -601,7 +621,7 @@ func TestSetBytesOverwriteAllocFree(t *testing.T) {
 }
 
 func TestRemoveIfExpired(t *testing.T) {
-	m := New()
+	m := NewWithShards(DefaultShardCount)
 	// String space and binary space both participate in the sweep.
 	for i := 0; i < 10; i++ {
 		k := fmt.Sprintf("s%d", i)
@@ -628,17 +648,16 @@ func TestRemoveIfExpired(t *testing.T) {
 }
 
 func TestRangeExpire(t *testing.T) {
-	m := New()
+	m := NewWithShards(DefaultShardCount)
 	m.SetHashExpire(Hash("a"), "a", "va", 1)
 	m.SetHashExpire(Hash("b"), "b", "vb", 0)
 	bk := []byte("16-byte-bin-key!")
 	m.SetBytesHashExpire(HashBytes(bk), bk, "vbin", 7)
 
 	got := map[string]int64{}
-	m.RangeExpire(func(key, value string, exp int64) bool {
-		got[key+"="+value] = exp
-		return true
-	})
+	for k, it := range items(m) {
+		got[k+"="+it.Value] = it.Exp
+	}
 	want := map[string]int64{"a=va": 1, "b=vb": 0, "16-byte-bin-key!=vbin": 7}
 	if len(got) != len(want) {
 		t.Fatalf("visited %v, want %v", got, want)
@@ -647,16 +666,6 @@ func TestRangeExpire(t *testing.T) {
 		if got[k] != exp {
 			t.Fatalf("entry %s: exp %d, want %d", k, got[k], exp)
 		}
-	}
-
-	// Early termination: fn returning false stops the walk.
-	visited := 0
-	m.RangeExpire(func(key, value string, exp int64) bool {
-		visited++
-		return false
-	})
-	if visited != 1 {
-		t.Fatalf("visited %d entries after false, want 1", visited)
 	}
 }
 

@@ -171,26 +171,6 @@ func (t *table) deleteAt(i uint64) {
 	}
 }
 
-// remove deletes k, reporting whether it was present.
-func (t *table) remove(k *[16]byte) bool {
-	if t.used == 0 {
-		return false
-	}
-	mask := uint64(len(t.slots) - 1)
-	h := oaHash(k)
-	fp := oaFingerprint(h)
-	for i := h & mask; ; i = (i + 1) & mask {
-		c := t.ctrl[i]
-		if c == 0 {
-			return false
-		}
-		if c == fp && t.slots[i].key == *k {
-			t.deleteAt(i)
-			return true
-		}
-	}
-}
-
 // removeIf deletes every entry for which pred returns true and returns how
 // many were removed. The sweep is one pass over the slot array with
 // backward-shift deletion folded in: after a delete the same index is

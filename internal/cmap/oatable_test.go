@@ -35,7 +35,7 @@ func TestTableMatchesReferenceMap(t *testing.T) {
 			}
 			ref[k] = entry{v: v, exp: exp}
 		case 2: // remove
-			removed := tab.remove(&k)
+			removed := tab.removeIf(func(s *oaSlot) bool { return s.key == k }) == 1
 			_, existed := ref[k]
 			if removed != existed {
 				t.Fatalf("op %d: remove=%v but key existed=%v", op, removed, existed)

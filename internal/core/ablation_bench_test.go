@@ -41,15 +41,15 @@ func BenchmarkAblationNumSplit(b *testing.B) {
 			cfg := DefaultConfig()
 			cfg.NumSplit = splits
 			c := New(cfg)
-			for _, rec := range dns {
-				c.IngestDNS(rec)
-			}
+			ingest(c, dns...)
 			b.ReportAllocs()
 			b.ResetTimer()
 			b.RunParallel(func(pb *testing.PB) {
+				out := make([]CorrelatedFlow, 0, 1)
 				i := 0
 				for pb.Next() {
-					c.CorrelateFlow(flows[i&4095])
+					j := i & 4095
+					out = c.CorrelateBatch(out[:0], flows[j:j+1])
 					i++
 				}
 			})
@@ -67,17 +67,18 @@ func BenchmarkAblationChainLimit(b *testing.B) {
 			c := New(cfg)
 			// 16-deep chain so every limit is exercised fully.
 			for i := 0; i < 16; i++ {
-				c.IngestDNS(cnameRec(t0, fmt.Sprintf("n%d.example", i+1), fmt.Sprintf("n%d.example", i), 300))
+				ingest(c, cnameRec(t0, fmt.Sprintf("n%d.example", i+1), fmt.Sprintf("n%d.example", i), 300))
 			}
-			c.IngestDNS(aRec(t0, "n0.example", "198.51.100.77", 300))
-			fr := flow(t0, "198.51.100.77", 100)
+			ingest(c, aRec(t0, "n0.example", "198.51.100.77", 300))
+			frs := []netflow.FlowRecord{flow(t0, "198.51.100.77", 100)}
+			out := make([]CorrelatedFlow, 0, 1)
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				// Disable the memoization shortcut's effect by alternating
 				// a cold store? Memoization is part of the design; measure
 				// the steady state it produces.
-				c.CorrelateFlow(fr)
+				out = c.CorrelateBatch(out[:0], frs)
 			}
 		})
 	}
@@ -128,10 +129,8 @@ func BenchmarkAblationRotation(b *testing.B) {
 			// between the two sub-benchmarks (the fill cost is identical).
 			for i := 0; i < b.N; i++ {
 				c := New(cfg)
-				for _, rec := range dns {
-					c.IngestDNS(rec)
-				}
-				c.IngestDNS(aRec(t0.Add(2*time.Hour), "trigger.example", "203.0.113.99", 60))
+				ingest(c, dns...)
+				ingest(c, aRec(t0.Add(2*time.Hour), "trigger.example", "203.0.113.99", 60))
 			}
 		})
 	}

@@ -38,81 +38,20 @@ type RestoreStats struct {
 	Created int64
 }
 
-// WriteSnapshot streams a checkpoint of the full correlation store to w:
-// both map families, all generations and splits, both key spaces, with the
-// typed expiries. It is safe to call while the pipeline is running — the
-// underlying iteration read-locks one cmap shard at a time, so a checkpoint
-// never freezes a map, only one stripe of one generation at a time. The
-// result is a fuzzy snapshot: entries written or overwritten mid-iteration
-// may or may not be included, which is exactly the guarantee a warm-restart
-// cache needs (restore tolerates both staleness and duplication; the DNS
-// stream re-asserts current truth within one TTL).
-func (c *Correlator) WriteSnapshot(w io.Writer, created int64) error {
-	sw, err := snapshot.NewWriter(w, created)
-	if err != nil {
-		return err
-	}
-	if err := c.fillSnapshot(sw); err != nil {
-		return err
-	}
-	return sw.Close()
-}
-
 // Checkpoint writes a snapshot atomically to path (temp file + rename): a
 // crash mid-write leaves the previous checkpoint intact.
 func (c *Correlator) Checkpoint(path string) error {
 	return snapshot.WriteFile(path, time.Now().UnixNano(), c.fillSnapshot)
 }
 
-// fillSnapshot writes both store families into an open snapshot writer.
+// fillSnapshot writes both store families, whole, into an open snapshot
+// writer.
 func (c *Correlator) fillSnapshot(w *snapshot.Writer) error {
-	if err := c.ipName.writeSections(w, familyIPName); err != nil {
+	if _, err := c.ipName.writeSections(w, familyIPName, nil); err != nil {
 		return err
 	}
-	return c.nameCname.writeSections(w, familyNameCname)
-}
-
-// writeSections emits one section run per (generation, split, key space)
-// cell of the store, iterating shard by shard through cmap.AppendShard so
-// only one shard stripe is read-locked at a time. The entry buffer is
-// reused across shards; keys AppendShard returns are fresh copies, so
-// handing them straight to the writer (which copies again into its payload)
-// never aliases map-internal storage.
-func (s *store) writeSections(w *snapshot.Writer, family uint8) error {
-	gens := [...]struct {
-		code uint8
-		maps []*cmap.Map
-	}{
-		{genActive, s.active},
-		{genInactive, s.inactive},
-		{genLong, s.long},
-	}
-	var items []cmap.Item
-	for _, gen := range gens {
-		for split, m := range gen.maps {
-			if m.Empty() {
-				continue
-			}
-			for _, space := range [...]cmap.KeySpace{cmap.Binary, cmap.Strings} {
-				var flags uint8
-				if space == cmap.Binary {
-					flags = snapshot.SectionFlagBinaryKeys
-				}
-				if err := w.Begin(family, gen.code, flags, uint32(split)); err != nil {
-					return err
-				}
-				for sh := 0; sh < m.ShardCount(); sh++ {
-					items = m.AppendShard(sh, space, items[:0])
-					for i := range items {
-						if err := w.Entry(items[i].Key, items[i].Value, items[i].Exp); err != nil {
-							return err
-						}
-					}
-				}
-			}
-		}
-	}
-	return nil
+	_, err := c.nameCname.writeSections(w, familyNameCname, nil)
+	return err
 }
 
 // Restore loads a snapshot stream into the correlator's stores, fanning the

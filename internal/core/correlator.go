@@ -32,8 +32,8 @@ type CorrelatedFlow struct {
 	// Tier records which generation satisfied the IP-NAME lookup.
 	Tier Tier
 	// EnqueuedAt is the wall-clock instant the flow entered the LookUp
-	// queue (stamped by OfferFlow/OfferFlowBatch; zero for synchronous
-	// CorrelateFlow calls). The write-delay metric — time from flow arrival
+	// queue (stamped by OfferFlowBatch; zero for synchronous CorrelateBatch
+	// calls). The write-delay metric — time from flow arrival
 	// to the sink write, spanning the LookUp wait, the correlation, and the
 	// write queue — derives from it.
 	EnqueuedAt time.Time
@@ -126,11 +126,11 @@ func WithMetrics(interval time.Duration, observe func(Stats)) Option {
 }
 
 // Correlator is the FlowDNS pipeline of Figure 1. Construct with New, feed
-// it via the stream.Ingest façade (OfferDNS/OfferFlow and their batch
-// forms) or attach Sources, run the workers with Run(ctx) — cancellation
-// stops intake and drains every stage through the sink — and read Stats
-// at any time. The deterministic IngestDNS/CorrelateFlow methods bypass
-// the queues for offline replays.
+// it via the stream.Ingest façade (OfferDNSBatch/OfferFlowBatch) or attach
+// Sources, run the workers with Run(ctx) — cancellation stops intake and
+// drains every stage through the sink — and read Stats at any time. The
+// deterministic IngestDNSBatch/CorrelateBatch methods bypass the queues for
+// offline replays; a single record is a one-element batch.
 type Correlator struct {
 	cfg      Config
 	sink     Sink
@@ -170,8 +170,9 @@ type Correlator struct {
 	stagePool sync.Pool
 	// dnsStagePool does the same for OfferDNSBatch's fill-lane partition.
 	dnsStagePool sync.Pool
-	// fillBufPool recycles the item-assembly scratch the public
-	// IngestDNSBatch uses; lane workers hold a private buffer instead.
+	// fillBufPool recycles the item-assembly scratch the synchronous
+	// IngestDNSBatch uses for batches of more than one record; lane
+	// workers hold a private buffer instead.
 	fillBufPool sync.Pool
 
 	started atomic.Bool
@@ -402,18 +403,11 @@ func (c *Correlator) Config() Config { return c.cfg }
 
 // --- stream.Ingest façade (live pipeline) ---
 
-// OfferDNS places a DNS record on its fill lane's FillUp queue; a false
-// return is a dropped record (stream loss). The lane is chosen by the
-// answer-address hash, so records for the same address always land on the
-// same lane.
-func (c *Correlator) OfferDNS(rec stream.DNSRecord) bool {
-	typeAnswerAddr(&rec)
-	return c.fillLanes[c.fillLaneFor(&rec)].q.Offer(rec)
-}
-
 // OfferDNSBatch partitions a batch of DNS records onto their fill lanes —
 // one pass through reusable staging buffers, as OfferFlowBatch does for
-// flows — and returns how many were accepted.
+// flows — and returns how many were accepted; the rest were dropped
+// (stream loss). The lane is chosen by the answer-address hash, so records
+// for the same address always land on the same lane.
 func (c *Correlator) OfferDNSBatch(recs []stream.DNSRecord) int {
 	if len(recs) == 0 {
 		return 0
@@ -440,18 +434,12 @@ func (c *Correlator) OfferDNSBatch(recs []stream.DNSRecord) int {
 	return accepted
 }
 
-// OfferFlow places a flow on its correlation lane's LookUp queue, stamping
-// its arrival instant; a false return is a dropped record (stream loss).
-// The lane is chosen by a hash of the destination IP, so flows to the same
-// destination always land on the same lane.
-func (c *Correlator) OfferFlow(fr netflow.FlowRecord) bool {
-	return c.lanes[c.laneFor(fr.DstIP)].q.Offer(flowEntry{fr: fr, at: time.Now()})
-}
-
 // OfferFlowBatch partitions a batch of flows onto their correlation lanes —
 // one arrival stamp for the whole batch — and returns how many were
-// accepted. Partitioning is one pass through reusable staging buffers, so
-// the offer cost stays amortized per batch, not per record.
+// accepted; the rest were dropped (stream loss). The lane is chosen by a
+// hash of the destination IP, so flows to the same destination always land
+// on the same lane. Partitioning is one pass through reusable staging
+// buffers, so the offer cost stays amortized per batch, not per record.
 func (c *Correlator) OfferFlowBatch(frs []netflow.FlowRecord) int {
 	if len(frs) == 0 {
 		return 0
@@ -887,77 +875,55 @@ func (c *Correlator) failSink(err error) {
 
 // --- synchronous API (deterministic replays, tests, examples) ---
 
-// IngestDNS validates one DNS record and fills it into the hashmaps
-// (Algorithm 1). It may be called directly for deterministic offline
-// replays; the async pipeline's fill-lane workers use IngestDNSBatch,
-// which amortizes the clear-up check and the stats updates. A/AAAA answers
-// are keyed by the 16-byte binary address form — the same key LookUp
-// builds from a flow's address — taken straight from the typed Addr field
-// when the producer supplied it (wire decoder, capture reader, workload
-// generator); only string-only records pay a parse here, and one that
-// fails to parse is rejected by the §3.2 filter.
-func (c *Correlator) IngestDNS(rec stream.DNSRecord) {
-	if !rec.IsValid() {
-		c.stats.dnsInvalid.Add(1)
-		return
-	}
-	switch rec.RType {
-	case dnswire.TypeA, dnswire.TypeAAAA:
-		addr := rec.Addr
-		if !addr.IsValid() {
-			var err error
-			addr, err = netip.ParseAddr(rec.Answer)
-			if err != nil {
-				c.stats.dnsInvalid.Add(1)
-				return
-			}
-		}
-		key := addr.As16()
-		h := ipHash(&key)
-		// One hash serves lane/interner selection, split labeling, and
-		// shard selection.
-		in := c.fillLanes[c.fillLaneForHash(h)].in
-		value := in.intern(dnsname.Normalize(rec.Query))
-		c.ipName.putBytesHash(rec.Timestamp, rec.TTL, h, key[:], value)
-	case dnswire.TypeCNAME:
-		in := c.fillLanes[c.fillLaneForHash(cmap.Hash(rec.Answer))].in
-		value := in.intern(dnsname.Normalize(rec.Query))
-		c.nameCname.put(rec.Timestamp, rec.TTL, in.intern(dnsname.Normalize(rec.Answer)), value)
-	}
-	c.stats.dnsRecords.Add(1)
-}
-
-// IngestDNSBatch fills a batch of DNS records (Algorithm 1, batched). It
-// is the fill-lane worker body: per-record counter updates accumulate in a
-// batch-local tally, the store's clear-up clock advances once per batch
-// (at the batch's last accepted record timestamp — streams are delivered
-// in near-arrival order, so the last record is the freshest within
-// jitter, and the clear-up intervals are hours; records the filter or the
-// address parse rejects never touch the clock, exactly as in the
-// record-at-a-time path), and the A/AAAA items are
-// grouped by store split and shard so each touched shard lock is taken
-// once per batch. Record order within one batch is not significant — a
-// rotation boundary inside a batch rotates before the whole batch lands in
-// the fresh Active generation.
+// IngestDNSBatch validates a batch of DNS records and fills them into the
+// hashmaps (Algorithm 1). It is the deterministic entry point for offline
+// replays — one record is a one-element batch — and the fill-lane worker
+// body. A/AAAA answers are keyed by the 16-byte binary address form (the
+// same key LookUp builds from a flow's address), taken straight from the
+// typed Addr field when the producer supplied it; only string-only records
+// pay a parse here, and one that fails to parse is rejected by the §3.2
+// filter. Per-record counter updates accumulate in a batch-local tally,
+// the store's clear-up clock advances once per batch (at the batch's last
+// accepted record timestamp — streams are delivered in near-arrival order,
+// so the last record is the freshest within jitter, and the clear-up
+// intervals are hours; records the filter or the address parse rejects
+// never touch the clock), and the A/AAAA items are grouped by store split
+// and shard so each touched shard lock is taken once per batch. Record
+// order within one batch is not significant — a rotation boundary inside a
+// batch rotates before the whole batch lands in the fresh Active
+// generation — so callers whose consecutive records carry different
+// timestamps pass one-element batches to keep the record clock exact.
+// Synchronous callers share fill lane 0's name interner.
 func (c *Correlator) IngestDNSBatch(recs []stream.DNSRecord) {
 	if len(recs) == 0 {
 		return
 	}
-	buf := c.fillBufPool.Get().(*fillBuf)
-	c.ingestBatch(recs, c.fillLanes[c.fillLaneFor(&recs[0])].in, buf)
-	c.fillBufPool.Put(buf)
+	var buf *fillBuf
+	if len(recs) > 1 {
+		buf = c.fillBufPool.Get().(*fillBuf)
+		defer c.fillBufPool.Put(buf)
+	}
+	c.ingestBatch(recs, c.fillLanes[0].in, buf)
 }
 
 // ingestBatch is the shared IngestDNSBatch body; lane workers pass their
-// lane's interner and a worker-private scratch buffer.
+// lane's interner and a worker-private scratch buffer. A one-record batch
+// has nothing to group: its A/AAAA record goes straight to its shard with
+// the same clock step, and buf may be nil — which keeps the
+// record-at-a-time replay free of the scratch round trip.
 func (c *Correlator) ingestBatch(recs []stream.DNSRecord, in *interner, buf *fillBuf) {
 	var records, invalid uint64
 	var batchTS time.Time
-	if cap(buf.keys) < len(recs) {
-		buf.keys = make([][16]byte, len(recs))
+	direct := len(recs) == 1
+	var keys [][16]byte
+	var active, long []cmap.Item
+	if !direct {
+		if cap(buf.keys) < len(recs) {
+			buf.keys = make([][16]byte, len(recs))
+		}
+		keys = buf.keys[:len(recs)]
+		active, long = buf.active[:0], buf.long[:0]
 	}
-	keys := buf.keys[:len(recs)]
-	active, long := buf.active[:0], buf.long[:0]
 	exact := c.ipName.exactTTL
 	longEnabled := c.ipName.longEnabled
 	for i := range recs {
@@ -984,18 +950,28 @@ func (c *Correlator) ingestBatch(recs []stream.DNSRecord, in *interner, buf *fil
 					continue
 				}
 			}
-			keys[i] = addr.As16()
-			item := cmap.Item{Hash: ipHash(&keys[i]), Key: keys[i][:], Value: value}
+			key := addr.As16()
+			h := ipHash(&key)
+			var exp int64
+			toLong := false
 			switch {
 			case exact:
-				item.Exp = expiryOf(rec.Timestamp, rec.TTL)
-				active = append(active, item)
+				exp = expiryOf(rec.Timestamp, rec.TTL)
 			case longEnabled && time.Duration(rec.TTL)*time.Second >= c.ipName.ttlThreshold:
-				long = append(long, item)
-			default:
-				active = append(active, item)
+				toLong = true
 			}
 			batchTS = rec.Timestamp
+			if direct {
+				c.ipName.putOne(batchTS, h, &key, value, exp, toLong)
+				break
+			}
+			keys[i] = key
+			item := cmap.Item{Hash: h, Key: keys[i][:], Value: value, Exp: exp}
+			if toLong {
+				long = append(long, item)
+			} else {
+				active = append(active, item)
+			}
 		case dnswire.TypeCNAME:
 			// CNAME volume is a fraction of A/AAAA volume and the NAME-CNAME
 			// store is single-split; record-at-a-time puts are fine here.
@@ -1007,7 +983,9 @@ func (c *Correlator) ingestBatch(recs []stream.DNSRecord, in *interner, buf *fil
 	if len(active)+len(long) > 0 {
 		c.ipName.putItems(batchTS, active, long, &buf.sc)
 	}
-	buf.active, buf.long = active[:0], long[:0]
+	if !direct {
+		buf.active, buf.long = active[:0], long[:0]
+	}
 	if records != 0 {
 		c.stats.dnsRecords.Add(records)
 	}
@@ -1022,18 +1000,6 @@ func (c *Correlator) ingestBatch(recs []stream.DNSRecord, in *interner, buf *fil
 func (c *Correlator) lookupIP(ts time.Time, addr netip.Addr) (string, Tier) {
 	key := addr.As16()
 	return c.ipName.getBytesHash(ts, ipHash(&key), key[:])
-}
-
-// CorrelateFlow resolves one flow (Algorithm 2) and returns the correlated
-// record. It may be called directly for deterministic offline replays; the
-// async pipeline's lane workers use the batch form, which amortizes the
-// stats updates.
-func (c *Correlator) CorrelateFlow(fr netflow.FlowRecord) CorrelatedFlow {
-	var tally lookTally
-	var cf CorrelatedFlow
-	c.correlateInto(&cf, &fr, &tally)
-	tally.flush(&c.stats)
-	return cf
 }
 
 // CorrelateBatch resolves every flow in frs, appending the correlated

@@ -37,10 +37,33 @@ func flow(ts time.Time, srcIP string, bytes uint64) netflow.FlowRecord {
 
 func newSyncCorrelator(cfg Config) *Correlator { return New(cfg) }
 
+// ingest fills recs in order, each as a one-element batch, so every record
+// steps the clear-up clock at its own timestamp.
+func ingest(c *Correlator, recs ...stream.DNSRecord) {
+	for i := range recs {
+		c.IngestDNSBatch(recs[i : i+1])
+	}
+}
+
+// correlate resolves one flow as a one-element batch.
+func correlate(c *Correlator, fr netflow.FlowRecord) CorrelatedFlow {
+	return c.CorrelateBatch(nil, []netflow.FlowRecord{fr})[0]
+}
+
+// offerDNS offers one record as a one-element batch.
+func offerDNS(in stream.Ingest, rec stream.DNSRecord) bool {
+	return in.OfferDNSBatch([]stream.DNSRecord{rec}) == 1
+}
+
+// offerFlow offers one flow as a one-element batch.
+func offerFlow(in stream.Ingest, fr netflow.FlowRecord) bool {
+	return in.OfferFlowBatch([]netflow.FlowRecord{fr}) == 1
+}
+
 func TestDirectALookup(t *testing.T) {
 	c := newSyncCorrelator(DefaultConfig())
-	c.IngestDNS(aRec(t0, "cdn.example.com", "198.51.100.7", 300))
-	cf := c.CorrelateFlow(flow(t0.Add(time.Second), "198.51.100.7", 1000))
+	ingest(c, aRec(t0, "cdn.example.com", "198.51.100.7", 300))
+	cf := correlate(c, flow(t0.Add(time.Second), "198.51.100.7", 1000))
 	if !cf.Correlated() || cf.Name != "cdn.example.com" {
 		t.Fatalf("cf = %+v", cf)
 	}
@@ -52,11 +75,11 @@ func TestDirectALookup(t *testing.T) {
 func TestCNAMEChainWalk(t *testing.T) {
 	c := newSyncCorrelator(DefaultConfig())
 	// service.com -> c1 -> c2 -> edge.cdn.net -> IP
-	c.IngestDNS(cnameRec(t0, "service.com", "c1.cdn.net", 300))
-	c.IngestDNS(cnameRec(t0, "c1.cdn.net", "c2.cdn.net", 300))
-	c.IngestDNS(cnameRec(t0, "c2.cdn.net", "edge.cdn.net", 300))
-	c.IngestDNS(aRec(t0, "edge.cdn.net", "198.51.100.10", 60))
-	cf := c.CorrelateFlow(flow(t0.Add(time.Second), "198.51.100.10", 5000))
+	ingest(c, cnameRec(t0, "service.com", "c1.cdn.net", 300))
+	ingest(c, cnameRec(t0, "c1.cdn.net", "c2.cdn.net", 300))
+	ingest(c, cnameRec(t0, "c2.cdn.net", "edge.cdn.net", 300))
+	ingest(c, aRec(t0, "edge.cdn.net", "198.51.100.10", 60))
+	cf := correlate(c, flow(t0.Add(time.Second), "198.51.100.10", 5000))
 	if cf.Name != "service.com" {
 		t.Fatalf("resolved %q, want service.com", cf.Name)
 	}
@@ -71,10 +94,10 @@ func TestCNAMEChainLimit(t *testing.T) {
 	c := newSyncCorrelator(cfg)
 	// Build a 10-hop chain; the walk must stop at 6 (paper §6).
 	for i := 0; i < 10; i++ {
-		c.IngestDNS(cnameRec(t0, fmt.Sprintf("n%d.example", i+1), fmt.Sprintf("n%d.example", i), 300))
+		ingest(c, cnameRec(t0, fmt.Sprintf("n%d.example", i+1), fmt.Sprintf("n%d.example", i), 300))
 	}
-	c.IngestDNS(aRec(t0, "n0.example", "198.51.100.11", 60))
-	cf := c.CorrelateFlow(flow(t0.Add(time.Second), "198.51.100.11", 100))
+	ingest(c, aRec(t0, "n0.example", "198.51.100.11", 60))
+	cf := correlate(c, flow(t0.Add(time.Second), "198.51.100.11", 100))
 	if cf.ChainLen != 6 {
 		t.Fatalf("chain len = %d, want 6 (limit)", cf.ChainLen)
 	}
@@ -85,9 +108,9 @@ func TestCNAMEChainLimit(t *testing.T) {
 
 func TestCNAMESelfLoopTerminates(t *testing.T) {
 	c := newSyncCorrelator(DefaultConfig())
-	c.IngestDNS(cnameRec(t0, "loop.example", "loop.example", 300))
-	c.IngestDNS(aRec(t0, "loop.example", "198.51.100.12", 60))
-	cf := c.CorrelateFlow(flow(t0.Add(time.Second), "198.51.100.12", 100))
+	ingest(c, cnameRec(t0, "loop.example", "loop.example", 300))
+	ingest(c, aRec(t0, "loop.example", "198.51.100.12", 60))
+	cf := correlate(c, flow(t0.Add(time.Second), "198.51.100.12", 100))
 	if cf.Name != "loop.example" || cf.ChainLen != 0 {
 		t.Fatalf("cf = %+v", cf)
 	}
@@ -95,10 +118,10 @@ func TestCNAMESelfLoopTerminates(t *testing.T) {
 
 func TestCNAMETwoNodeLoopTerminates(t *testing.T) {
 	c := newSyncCorrelator(DefaultConfig())
-	c.IngestDNS(cnameRec(t0, "a.example", "b.example", 300))
-	c.IngestDNS(cnameRec(t0, "b.example", "a.example", 300))
-	c.IngestDNS(aRec(t0, "b.example", "198.51.100.13", 60))
-	cf := c.CorrelateFlow(flow(t0.Add(time.Second), "198.51.100.13", 100))
+	ingest(c, cnameRec(t0, "a.example", "b.example", 300))
+	ingest(c, cnameRec(t0, "b.example", "a.example", 300))
+	ingest(c, aRec(t0, "b.example", "198.51.100.13", 60))
+	cf := correlate(c, flow(t0.Add(time.Second), "198.51.100.13", 100))
 	// Walk bounces a<->b until the limit; it must terminate.
 	if cf.ChainLen != DefaultCNAMEChainLimit {
 		t.Fatalf("chain len = %d", cf.ChainLen)
@@ -107,10 +130,10 @@ func TestCNAMETwoNodeLoopTerminates(t *testing.T) {
 
 func TestMemoization(t *testing.T) {
 	c := newSyncCorrelator(DefaultConfig())
-	c.IngestDNS(cnameRec(t0, "service.com", "c1.cdn.net", 300))
-	c.IngestDNS(cnameRec(t0, "c1.cdn.net", "edge.cdn.net", 300))
-	c.IngestDNS(aRec(t0, "edge.cdn.net", "198.51.100.14", 60))
-	cf1 := c.CorrelateFlow(flow(t0.Add(time.Second), "198.51.100.14", 100))
+	ingest(c, cnameRec(t0, "service.com", "c1.cdn.net", 300))
+	ingest(c, cnameRec(t0, "c1.cdn.net", "edge.cdn.net", 300))
+	ingest(c, aRec(t0, "edge.cdn.net", "198.51.100.14", 60))
+	cf1 := correlate(c, flow(t0.Add(time.Second), "198.51.100.14", 100))
 	if cf1.ChainLen != 2 || cf1.Name != "service.com" {
 		t.Fatalf("first = %+v", cf1)
 	}
@@ -118,7 +141,7 @@ func TestMemoization(t *testing.T) {
 		t.Fatalf("memoized = %d", c.Stats().Memoized)
 	}
 	// The second lookup takes the memoized shortcut: one hop.
-	cf2 := c.CorrelateFlow(flow(t0.Add(2*time.Second), "198.51.100.14", 100))
+	cf2 := correlate(c, flow(t0.Add(2*time.Second), "198.51.100.14", 100))
 	if cf2.Name != "service.com" || cf2.ChainLen != 1 {
 		t.Fatalf("second = %+v", cf2)
 	}
@@ -126,7 +149,7 @@ func TestMemoization(t *testing.T) {
 
 func TestMissReturnsNull(t *testing.T) {
 	c := newSyncCorrelator(DefaultConfig())
-	cf := c.CorrelateFlow(flow(t0, "198.51.100.99", 100))
+	cf := correlate(c, flow(t0, "198.51.100.99", 100))
 	if cf.Correlated() || cf.Tier != TierNone {
 		t.Fatalf("cf = %+v", cf)
 	}
@@ -138,12 +161,12 @@ func TestMissReturnsNull(t *testing.T) {
 
 func TestInvalidRecordsFiltered(t *testing.T) {
 	c := newSyncCorrelator(DefaultConfig())
-	c.IngestDNS(stream.DNSRecord{}) // invalid
-	c.IngestDNS(stream.DNSRecord{Timestamp: t0, Query: "q", RType: dnswire.TypeTXT, Answer: "x"})
+	ingest(c, stream.DNSRecord{}) // invalid
+	ingest(c, stream.DNSRecord{Timestamp: t0, Query: "q", RType: dnswire.TypeTXT, Answer: "x"})
 	if st := c.Stats(); st.DNSInvalid != 2 || st.DNSRecords != 0 {
 		t.Fatalf("stats = %+v", st)
 	}
-	cf := c.CorrelateFlow(netflow.FlowRecord{})
+	cf := correlate(c, netflow.FlowRecord{})
 	if cf.Correlated() {
 		t.Fatal("invalid flow correlated")
 	}
@@ -154,8 +177,8 @@ func TestInvalidRecordsFiltered(t *testing.T) {
 
 func TestQueryNameNormalized(t *testing.T) {
 	c := newSyncCorrelator(DefaultConfig())
-	c.IngestDNS(aRec(t0, "CDN.Example.COM.", "198.51.100.7", 60))
-	cf := c.CorrelateFlow(flow(t0.Add(time.Second), "198.51.100.7", 10))
+	ingest(c, aRec(t0, "CDN.Example.COM.", "198.51.100.7", 60))
+	cf := correlate(c, flow(t0.Add(time.Second), "198.51.100.7", 10))
 	if cf.Name != "cdn.example.com" {
 		t.Fatalf("name = %q", cf.Name)
 	}
@@ -163,16 +186,16 @@ func TestQueryNameNormalized(t *testing.T) {
 
 func TestClearUpExpiresActive(t *testing.T) {
 	c := newSyncCorrelator(DefaultConfig())
-	c.IngestDNS(aRec(t0, "old.example", "198.51.100.20", 60))
+	ingest(c, aRec(t0, "old.example", "198.51.100.20", 60))
 	// Advance the record clock past 2 clear-up intervals: the first rotation
 	// moves the record to inactive, the second discards it.
-	c.IngestDNS(aRec(t0.Add(3601*time.Second), "mid.example", "198.51.100.21", 60))
-	cf := c.CorrelateFlow(flow(t0.Add(3601*time.Second), "198.51.100.20", 10))
+	ingest(c, aRec(t0.Add(3601*time.Second), "mid.example", "198.51.100.21", 60))
+	cf := correlate(c, flow(t0.Add(3601*time.Second), "198.51.100.20", 10))
 	if cf.Tier != TierInactive || cf.Name != "old.example" {
 		t.Fatalf("after 1 rotation: %+v", cf)
 	}
-	c.IngestDNS(aRec(t0.Add(2*3601*time.Second), "new.example", "198.51.100.22", 60))
-	cf = c.CorrelateFlow(flow(t0.Add(2*3601*time.Second), "198.51.100.20", 10))
+	ingest(c, aRec(t0.Add(2*3601*time.Second), "new.example", "198.51.100.22", 60))
+	cf = correlate(c, flow(t0.Add(2*3601*time.Second), "198.51.100.20", 10))
 	if cf.Correlated() {
 		t.Fatalf("record survived 2 rotations: %+v", cf)
 	}
@@ -183,10 +206,10 @@ func TestClearUpExpiresActive(t *testing.T) {
 
 func TestNoRotationLosesInactive(t *testing.T) {
 	c := newSyncCorrelator(ConfigForVariant(VariantNoRotation))
-	c.IngestDNS(aRec(t0, "old.example", "198.51.100.20", 60))
-	c.IngestDNS(aRec(t0.Add(3601*time.Second), "mid.example", "198.51.100.21", 60))
+	ingest(c, aRec(t0, "old.example", "198.51.100.20", 60))
+	ingest(c, aRec(t0.Add(3601*time.Second), "mid.example", "198.51.100.21", 60))
 	// Without rotation the clear-up wipes the record outright.
-	cf := c.CorrelateFlow(flow(t0.Add(3601*time.Second), "198.51.100.20", 10))
+	cf := correlate(c, flow(t0.Add(3601*time.Second), "198.51.100.20", 10))
 	if cf.Correlated() {
 		t.Fatalf("NoRotation kept the record: %+v", cf)
 	}
@@ -194,11 +217,11 @@ func TestNoRotationLosesInactive(t *testing.T) {
 
 func TestNoClearUpKeepsForever(t *testing.T) {
 	c := newSyncCorrelator(ConfigForVariant(VariantNoClearUp))
-	c.IngestDNS(aRec(t0, "old.example", "198.51.100.20", 60))
+	ingest(c, aRec(t0, "old.example", "198.51.100.20", 60))
 	// Days later the record is still there.
 	later := t0.Add(100 * time.Hour)
-	c.IngestDNS(aRec(later, "new.example", "198.51.100.21", 60))
-	cf := c.CorrelateFlow(flow(later, "198.51.100.20", 10))
+	ingest(c, aRec(later, "new.example", "198.51.100.21", 60))
+	cf := correlate(c, flow(later, "198.51.100.20", 10))
 	if !cf.Correlated() || cf.Tier != TierActive {
 		t.Fatalf("NoClearUp lost the record: %+v", cf)
 	}
@@ -210,10 +233,10 @@ func TestNoClearUpKeepsForever(t *testing.T) {
 func TestLongHashmapSurvivesClearUp(t *testing.T) {
 	c := newSyncCorrelator(DefaultConfig())
 	// TTL 86400 >= AClearUpInterval: goes to the long map.
-	c.IngestDNS(aRec(t0, "stable.example", "198.51.100.30", 86400))
-	c.IngestDNS(aRec(t0.Add(3601*time.Second), "x.example", "198.51.100.31", 60))
-	c.IngestDNS(aRec(t0.Add(2*3601*time.Second), "y.example", "198.51.100.32", 60))
-	cf := c.CorrelateFlow(flow(t0.Add(2*3601*time.Second), "198.51.100.30", 10))
+	ingest(c, aRec(t0, "stable.example", "198.51.100.30", 86400))
+	ingest(c, aRec(t0.Add(3601*time.Second), "x.example", "198.51.100.31", 60))
+	ingest(c, aRec(t0.Add(2*3601*time.Second), "y.example", "198.51.100.32", 60))
+	cf := correlate(c, flow(t0.Add(2*3601*time.Second), "198.51.100.30", 10))
 	if !cf.Correlated() || cf.Tier != TierLong {
 		t.Fatalf("long record lost: %+v", cf)
 	}
@@ -221,16 +244,16 @@ func TestLongHashmapSurvivesClearUp(t *testing.T) {
 
 func TestNoLongPutsEverythingInActive(t *testing.T) {
 	c := newSyncCorrelator(ConfigForVariant(VariantNoLong))
-	c.IngestDNS(aRec(t0, "stable.example", "198.51.100.30", 86400))
-	cf := c.CorrelateFlow(flow(t0, "198.51.100.30", 10))
+	ingest(c, aRec(t0, "stable.example", "198.51.100.30", 86400))
+	cf := correlate(c, flow(t0, "198.51.100.30", 10))
 	if cf.Tier != TierActive {
 		t.Fatalf("tier = %v, want active", cf.Tier)
 	}
 	// After two clear-ups the long-TTL record is gone — the correlation
 	// loss the paper measures for NoLong.
-	c.IngestDNS(aRec(t0.Add(3601*time.Second), "x.example", "198.51.100.31", 60))
-	c.IngestDNS(aRec(t0.Add(2*3601*time.Second), "y.example", "198.51.100.32", 60))
-	cf = c.CorrelateFlow(flow(t0.Add(2*3601*time.Second), "198.51.100.30", 10))
+	ingest(c, aRec(t0.Add(3601*time.Second), "x.example", "198.51.100.31", 60))
+	ingest(c, aRec(t0.Add(2*3601*time.Second), "y.example", "198.51.100.32", 60))
+	cf = correlate(c, flow(t0.Add(2*3601*time.Second), "198.51.100.30", 10))
 	if cf.Correlated() {
 		t.Fatalf("NoLong kept long-TTL record: %+v", cf)
 	}
@@ -241,8 +264,8 @@ func TestNoSplitUsesOneSplit(t *testing.T) {
 	if c.Config().NumSplit != 1 {
 		t.Fatalf("NumSplit = %d", c.Config().NumSplit)
 	}
-	c.IngestDNS(aRec(t0, "a.example", "198.51.100.40", 60))
-	if cf := c.CorrelateFlow(flow(t0, "198.51.100.40", 10)); !cf.Correlated() {
+	ingest(c, aRec(t0, "a.example", "198.51.100.40", 60))
+	if cf := correlate(c, flow(t0, "198.51.100.40", 10)); !cf.Correlated() {
 		t.Fatal("NoSplit lookup broken")
 	}
 }
@@ -250,13 +273,13 @@ func TestNoSplitUsesOneSplit(t *testing.T) {
 func TestExactTTLExpiry(t *testing.T) {
 	cfg := ConfigForVariant(VariantExactTTL)
 	c := newSyncCorrelator(cfg)
-	c.IngestDNS(aRec(t0, "short.example", "198.51.100.50", 30))
+	ingest(c, aRec(t0, "short.example", "198.51.100.50", 30))
 	// Within TTL: hit.
-	if cf := c.CorrelateFlow(flow(t0.Add(10*time.Second), "198.51.100.50", 10)); !cf.Correlated() {
+	if cf := correlate(c, flow(t0.Add(10*time.Second), "198.51.100.50", 10)); !cf.Correlated() {
 		t.Fatal("within-TTL lookup missed")
 	}
 	// After TTL: the A.8 condition rejects it even before any sweep.
-	if cf := c.CorrelateFlow(flow(t0.Add(31*time.Second), "198.51.100.50", 10)); cf.Correlated() {
+	if cf := correlate(c, flow(t0.Add(31*time.Second), "198.51.100.50", 10)); cf.Correlated() {
 		t.Fatal("expired record matched")
 	}
 }
@@ -266,7 +289,7 @@ func TestExactTTLSweepRemoves(t *testing.T) {
 	cfg.ExactTTLSweepInterval = 60 * time.Second
 	c := newSyncCorrelator(cfg)
 	for i := 0; i < 100; i++ {
-		c.IngestDNS(aRec(t0, fmt.Sprintf("d%d.example", i), fmt.Sprintf("198.51.%d.%d", i/256, i%256), 30))
+		ingest(c, aRec(t0, fmt.Sprintf("d%d.example", i), fmt.Sprintf("198.51.%d.%d", i/256, i%256), 30))
 	}
 	ip, _ := c.StoreSizes()
 	if ip != 100 {
@@ -274,7 +297,7 @@ func TestExactTTLSweepRemoves(t *testing.T) {
 	}
 	// Two minutes later a new record triggers the sweep; all TTL-30 records
 	// are expired and removed.
-	c.IngestDNS(aRec(t0.Add(2*time.Minute), "fresh.example", "203.0.113.1", 30))
+	ingest(c, aRec(t0.Add(2*time.Minute), "fresh.example", "203.0.113.1", 30))
 	ip, _ = c.StoreSizes()
 	if ip != 1 {
 		t.Fatalf("post-sweep entries = %d, want 1", ip)
@@ -287,9 +310,9 @@ func TestExactTTLSweepRemoves(t *testing.T) {
 func TestMultipleNamesPerIPOverwrite(t *testing.T) {
 	// §4 Accuracy: a second domain on the same IP overwrites the first.
 	c := newSyncCorrelator(DefaultConfig())
-	c.IngestDNS(aRec(t0, "first.example", "198.51.100.60", 300))
-	c.IngestDNS(aRec(t0.Add(time.Second), "second.example", "198.51.100.60", 300))
-	cf := c.CorrelateFlow(flow(t0.Add(2*time.Second), "198.51.100.60", 10))
+	ingest(c, aRec(t0, "first.example", "198.51.100.60", 300))
+	ingest(c, aRec(t0.Add(time.Second), "second.example", "198.51.100.60", 300))
+	cf := correlate(c, flow(t0.Add(2*time.Second), "198.51.100.60", 10))
 	if cf.Name != "second.example" {
 		t.Fatalf("name = %q, want second.example (overwrite semantics)", cf.Name)
 	}
@@ -305,7 +328,7 @@ func TestPipelineEndToEnd(t *testing.T) {
 	go func() { runDone <- c.Run(ctx) }()
 	const services = 20
 	for i := 0; i < services; i++ {
-		ok := c.OfferDNS(aRec(t0, fmt.Sprintf("svc%d.example", i), fmt.Sprintf("198.51.100.%d", i), 300))
+		ok := offerDNS(c, aRec(t0, fmt.Sprintf("svc%d.example", i), fmt.Sprintf("198.51.100.%d", i), 300))
 		if !ok {
 			t.Fatal("DNS offer dropped")
 		}
@@ -359,7 +382,7 @@ func TestRunSingleUseAndDrains(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	runDone := make(chan error, 1)
 	go func() { runDone <- c.Run(ctx) }()
-	c.OfferDNS(aRec(t0, "a.example", "198.51.100.70", 60))
+	offerDNS(c, aRec(t0, "a.example", "198.51.100.70", 60))
 	cancel()
 	if err := <-runDone; err != nil {
 		t.Fatalf("Run = %v", err)
@@ -378,13 +401,13 @@ func TestRunEndsWhenSourcesComplete(t *testing.T) {
 	// no cancellation needed.
 	sink := NewCountingSink()
 	src := stream.SourceFunc(func(ctx context.Context, in stream.Ingest) error {
-		in.OfferDNS(aRec(t0, "svc.example", "198.51.100.71", 300))
+		offerDNS(in, aRec(t0, "svc.example", "198.51.100.71", 300))
 		// Wait until the record is ingested (not merely dequeued) before
 		// the flow that depends on it.
 		for correlatorOf(in).Stats().DNSRecords < 1 {
 			time.Sleep(time.Millisecond)
 		}
-		in.OfferFlow(flow(t0.Add(time.Second), "198.51.100.71", 500))
+		offerFlow(in, flow(t0.Add(time.Second), "198.51.100.71", 500))
 		return nil
 	})
 	c := New(DefaultConfig(), WithSink(sink), WithSources(src))
@@ -440,7 +463,7 @@ func TestWithMetricsObserves(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	runDone := make(chan error, 1)
 	go func() { runDone <- c.Run(ctx) }()
-	c.OfferDNS(aRec(t0, "a.example", "198.51.100.72", 60))
+	offerDNS(c, aRec(t0, "a.example", "198.51.100.72", 60))
 	time.Sleep(20 * time.Millisecond)
 	cancel()
 	<-runDone
@@ -490,7 +513,7 @@ func TestTSVSink(t *testing.T) {
 }
 
 func TestMultiSink(t *testing.T) {
-	a, b := NewCountingSink(), NewCountingSink()
+	a, b := newFlowCounter(), newFlowCounter()
 	ms := MultiSink{a, b}
 	ms.WriteBatch(context.Background(), []CorrelatedFlow{{Flow: flow(t0, "198.51.100.7", 5), Name: "x"}})
 	if a.Bytes()["x"] != 5 || b.Bytes()["x"] != 5 {
@@ -503,11 +526,11 @@ func TestMultiSink(t *testing.T) {
 
 func TestChainHistogram(t *testing.T) {
 	c := newSyncCorrelator(DefaultConfig())
-	c.IngestDNS(cnameRec(t0, "svc.example", "edge.cdn", 300))
-	c.IngestDNS(aRec(t0, "edge.cdn", "198.51.100.80", 60))
-	c.IngestDNS(aRec(t0, "plain.example", "198.51.100.81", 60))
-	c.CorrelateFlow(flow(t0, "198.51.100.80", 10)) // 1 hop
-	c.CorrelateFlow(flow(t0, "198.51.100.81", 10)) // 0 hops
+	ingest(c, cnameRec(t0, "svc.example", "edge.cdn", 300))
+	ingest(c, aRec(t0, "edge.cdn", "198.51.100.80", 60))
+	ingest(c, aRec(t0, "plain.example", "198.51.100.81", 60))
+	correlate(c, flow(t0, "198.51.100.80", 10)) // 1 hop
+	correlate(c, flow(t0, "198.51.100.81", 10)) // 0 hops
 	st := c.Stats()
 	if st.ChainHist[0] != 1 || st.ChainHist[1] != 1 {
 		t.Fatalf("hist = %v", st.ChainHist)
@@ -566,30 +589,33 @@ func BenchmarkIngestDNS(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		c.IngestDNS(recs[i&1023])
+		j := i & 1023
+		c.IngestDNSBatch(recs[j : j+1])
 	}
 }
 
 func BenchmarkCorrelateFlowHit(b *testing.B) {
 	c := New(DefaultConfig())
 	for i := 0; i < 1024; i++ {
-		c.IngestDNS(aRec(t0, fmt.Sprintf("d%d.example.com", i), fmt.Sprintf("198.51.%d.%d", i/256, i%256), 300))
+		ingest(c, aRec(t0, fmt.Sprintf("d%d.example.com", i), fmt.Sprintf("198.51.%d.%d", i/256, i%256), 300))
 	}
 	flows := make([]netflow.FlowRecord, 1024)
 	for i := range flows {
 		flows[i] = flow(t0, fmt.Sprintf("198.51.%d.%d", i/256, i%256), 1000)
 	}
+	out := make([]CorrelatedFlow, 0, 1)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		c.CorrelateFlow(flows[i&1023])
+		j := i & 1023
+		out = c.CorrelateBatch(out[:0], flows[j:j+1])
 	}
 }
 
 func BenchmarkCorrelateFlowParallel(b *testing.B) {
 	c := New(DefaultConfig())
 	for i := 0; i < 1024; i++ {
-		c.IngestDNS(aRec(t0, fmt.Sprintf("d%d.example.com", i), fmt.Sprintf("198.51.%d.%d", i/256, i%256), 300))
+		ingest(c, aRec(t0, fmt.Sprintf("d%d.example.com", i), fmt.Sprintf("198.51.%d.%d", i/256, i%256), 300))
 	}
 	flows := make([]netflow.FlowRecord, 1024)
 	for i := range flows {
@@ -598,9 +624,11 @@ func BenchmarkCorrelateFlowParallel(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	b.RunParallel(func(pb *testing.PB) {
+		out := make([]CorrelatedFlow, 0, 1)
 		i := 0
 		for pb.Next() {
-			c.CorrelateFlow(flows[i&1023])
+			j := i & 1023
+			out = c.CorrelateBatch(out[:0], flows[j:j+1])
 			i++
 		}
 	})
@@ -611,7 +639,7 @@ func TestLookupKeyModes(t *testing.T) {
 		cfg := DefaultConfig()
 		cfg.Key = k
 		c := newSyncCorrelator(cfg)
-		c.IngestDNS(aRec(t0, "svc.example", "198.51.100.90", 300))
+		ingest(c, aRec(t0, "svc.example", "198.51.100.90", 300))
 		return c
 	}
 	inbound := flow(t0, "198.51.100.90", 100) // announced IP as source
@@ -623,26 +651,26 @@ func TestLookupKeyModes(t *testing.T) {
 	}
 
 	src := mk(LookupSource)
-	if cf := src.CorrelateFlow(inbound); cf.Name != "svc.example" {
+	if cf := correlate(src, inbound); cf.Name != "svc.example" {
 		t.Fatalf("source mode inbound = %+v", cf)
 	}
-	if cf := src.CorrelateFlow(outbound); cf.Correlated() {
+	if cf := correlate(src, outbound); cf.Correlated() {
 		t.Fatalf("source mode matched destination: %+v", cf)
 	}
 
 	dst := mk(LookupDestination)
-	if cf := dst.CorrelateFlow(outbound); cf.Name != "svc.example" {
+	if cf := correlate(dst, outbound); cf.Name != "svc.example" {
 		t.Fatalf("destination mode outbound = %+v", cf)
 	}
-	if cf := dst.CorrelateFlow(inbound); cf.Correlated() {
+	if cf := correlate(dst, inbound); cf.Correlated() {
 		t.Fatalf("destination mode matched source: %+v", cf)
 	}
 
 	both := mk(LookupBoth)
-	if cf := both.CorrelateFlow(inbound); cf.Name != "svc.example" {
+	if cf := correlate(both, inbound); cf.Name != "svc.example" {
 		t.Fatalf("both mode inbound = %+v", cf)
 	}
-	if cf := both.CorrelateFlow(outbound); cf.Name != "svc.example" {
+	if cf := correlate(both, outbound); cf.Name != "svc.example" {
 		t.Fatalf("both mode outbound = %+v", cf)
 	}
 }

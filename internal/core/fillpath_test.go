@@ -44,8 +44,8 @@ func TestExactTTLBoundary(t *testing.T) {
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			c := New(cfg)
-			c.IngestDNS(aRecTyped(t0, "svc.example", "198.51.100.80", tc.ttl))
-			cf := c.CorrelateFlow(flow(t0.Add(tc.offset), "198.51.100.80", 10))
+			ingest(c, aRecTyped(t0, "svc.example", "198.51.100.80", tc.ttl))
+			cf := correlate(c, flow(t0.Add(tc.offset), "198.51.100.80", 10))
 			if cf.Correlated() != tc.hit {
 				t.Fatalf("ttl=%d offset=%v: correlated=%v, want %v",
 					tc.ttl, tc.offset, cf.Correlated(), tc.hit)
@@ -103,7 +103,7 @@ func TestExactTTLGoldenEquivalence(t *testing.T) {
 		ip := fmt.Sprintf("198.51.%d.%d", r.Intn(4), 1+r.Intn(200))
 		if r.Intn(3) > 0 {
 			rec := aRecTyped(clock, fmt.Sprintf("svc%d.example", r.Intn(64)), ip, ttls[r.Intn(len(ttls))])
-			c.IngestDNS(rec)
+			ingest(c, rec)
 			oracle.put(rec)
 			continue
 		}
@@ -111,7 +111,7 @@ func TestExactTTLGoldenEquivalence(t *testing.T) {
 		// both just-expired and still-valid entries are exercised.
 		ts := clock.Add(time.Duration(r.Intn(600)-120) * time.Second)
 		addr := netip.MustParseAddr(ip)
-		cf := c.CorrelateFlow(flow(ts, ip, 10))
+		cf := correlate(c, flow(ts, ip, 10))
 		wantName, wantHit := oracle.get(ts, addr)
 		flowsChecked++
 		if cf.Correlated() != wantHit {
@@ -166,9 +166,9 @@ func TestIngestDNSBatchMatchesSingle(t *testing.T) {
 						fmt.Sprintf("198.51.101.%d", 1+r.Intn(250)), uint32(r.Intn(600))))
 				}
 			}
-			for _, rec := range recs {
-				single.IngestDNS(rec)
-			}
+			// The same records through one-element batches and through
+			// 96-record batches.
+			ingest(single, recs...)
 			for i := 0; i < len(recs); i += 96 {
 				batched.IngestDNSBatch(recs[i:min(i+96, len(recs))])
 			}
@@ -187,8 +187,8 @@ func TestIngestDNSBatchMatchesSingle(t *testing.T) {
 			for i := 0; i < 250; i++ {
 				ip := fmt.Sprintf("198.51.%d.%d", 100+r.Intn(2), 1+r.Intn(250))
 				ts := clock.Add(time.Duration(r.Intn(120)-60) * time.Second)
-				a := single.CorrelateFlow(flow(ts, ip, 10))
-				b := batched.CorrelateFlow(flow(ts, ip, 10))
+				a := correlate(single, flow(ts, ip, 10))
+				b := correlate(batched, flow(ts, ip, 10))
 				if a.Name != b.Name || a.Tier != b.Tier {
 					t.Fatalf("lookup %s diverges: single (%q, %v), batched (%q, %v)",
 						ip, a.Name, a.Tier, b.Name, b.Tier)
@@ -227,12 +227,12 @@ func TestInterningSharesValueStorage(t *testing.T) {
 	if unsafe.StringData(name1) == unsafe.StringData(name2) {
 		t.Fatal("test setup: clones share storage")
 	}
-	c.IngestDNS(stream.DNSRecord{Timestamp: t0, Query: name1, RType: dnswire.TypeA,
+	ingest(c, stream.DNSRecord{Timestamp: t0, Query: name1, RType: dnswire.TypeA,
 		TTL: 300, Addr: netip.MustParseAddr(first)})
-	c.IngestDNS(stream.DNSRecord{Timestamp: t0, Query: name2, RType: dnswire.TypeA,
+	ingest(c, stream.DNSRecord{Timestamp: t0, Query: name2, RType: dnswire.TypeA,
 		TTL: 300, Addr: netip.MustParseAddr(second)})
-	a := c.CorrelateFlow(flow(t0.Add(time.Second), first, 10))
-	b := c.CorrelateFlow(flow(t0.Add(time.Second), second, 10))
+	a := correlate(c, flow(t0.Add(time.Second), first, 10))
+	b := correlate(c, flow(t0.Add(time.Second), second, 10))
 	if a.Name != "cdn-edge.example" || b.Name != "cdn-edge.example" {
 		t.Fatalf("lookups = %q, %q", a.Name, b.Name)
 	}
@@ -371,7 +371,7 @@ func TestIngestDNSBatchRejectedRecordsDontAdvanceClock(t *testing.T) {
 	if st := c.Stats(); st.DNSInvalid != 1 || st.Sweeps != 0 {
 		t.Fatalf("invalid=%d sweeps=%d, want 1/0", st.DNSInvalid, st.Sweeps)
 	}
-	if cf := c.CorrelateFlow(flow(t0.Add(2*time.Second), "198.51.100.5", 10)); !cf.Correlated() {
+	if cf := correlate(c, flow(t0.Add(2*time.Second), "198.51.100.5", 10)); !cf.Correlated() {
 		t.Fatal("live entry lost: rejected record's timestamp advanced the clock")
 	}
 }
@@ -386,7 +386,7 @@ func TestOfferDNSStringAndTypedRouteSameLane(t *testing.T) {
 	c := New(cfg)
 	typed := aRecTyped(t0, "svc.example", "198.51.100.33", 300)
 	stringOnly := aRec(t0, "svc.example", "198.51.100.33", 300)
-	if !c.OfferDNS(typed) || !c.OfferDNS(stringOnly) {
+	if !offerDNS(c, typed) || !offerDNS(c, stringOnly) {
 		t.Fatal("offers rejected")
 	}
 	depths := c.FillLaneDepths()

@@ -9,40 +9,44 @@ import (
 	"repro/internal/snapshot"
 )
 
-// IPHash exposes the correlator's shared IP-key hash for cluster placement.
-// Every consumer of binary IP keys — lane selection, store splits, shard
-// probing, and now consistent-hash ring ownership — must use this one hash,
-// which is what makes "the router's node choice" and "the worker's store
-// placement" the same function of the same bytes.
-func IPHash(key *[16]byte) uint32 { return ipHash(key) }
-
-// IPHashAddr is IPHash over an address's canonical 16-byte form.
+// IPHashAddr exposes the correlator's shared IP-key hash, over an
+// address's canonical 16-byte form, for cluster placement. Every consumer
+// of binary IP keys — lane selection, store splits, shard probing, and
+// consistent-hash ring ownership — must use this one hash, which is what
+// makes "the router's node choice" and "the worker's store placement" the
+// same function of the same bytes.
 func IPHashAddr(addr netip.Addr) uint32 {
 	a16 := addr.As16()
 	return ipHash(&a16)
 }
 
 // WriteSnapshotOwned streams a range-filtered checkpoint to w: exactly the
-// IP-NAME entries whose key hash satisfies owns, plus the complete
+// IP-NAME entries whose key hash satisfies owns (all of them when owns is
+// nil — the full checkpoint Checkpoint writes), plus the complete
 // NAME-CNAME family. The output is a normal snapshot file — Restore (and
 // therefore a live handoff import) applies it with placement recomputed,
 // so the exporting and importing nodes may run different lane/split
 // layouts. CNAME chains are shipped whole because the forwarder broadcasts
 // CNAME records to every node: each worker walks chains locally, so chain
 // state must be complete everywhere, while IP-NAME entries are owned by
-// exactly one node. Like WriteSnapshot this is safe on a running
-// correlator (shard-at-a-time read locks; fuzzy snapshot semantics).
-// It returns the number of entries written.
+// exactly one node. It is safe to call while the pipeline is running: the
+// iteration read-locks one cmap shard at a time, so a checkpoint never
+// freezes a map, only one stripe of one generation at a time. The result
+// is a fuzzy snapshot: entries written or overwritten mid-iteration may or
+// may not be included, which is exactly the guarantee a warm-restart cache
+// needs (restore tolerates both staleness and duplication; the DNS stream
+// re-asserts current truth within one TTL). It returns the number of
+// entries written.
 func (c *Correlator) WriteSnapshotOwned(w io.Writer, created int64, owns func(h uint32) bool) (int, error) {
 	sw, err := snapshot.NewWriter(w, created)
 	if err != nil {
 		return 0, err
 	}
-	n, err := c.ipName.writeSectionsOwned(sw, familyIPName, owns)
+	n, err := c.ipName.writeSections(sw, familyIPName, owns)
 	if err != nil {
 		return n, err
 	}
-	m, err := c.nameCname.writeSectionsOwned(sw, familyNameCname, nil)
+	m, err := c.nameCname.writeSections(sw, familyNameCname, nil)
 	n += m
 	if err != nil {
 		return n, err
@@ -50,14 +54,19 @@ func (c *Correlator) WriteSnapshotOwned(w io.Writer, created int64, owns func(h 
 	return n, sw.Close()
 }
 
-// writeSectionsOwned is writeSections with an ownership filter: binary
-// 16-byte keys are kept only when owns(ipHash(key)) is true. A nil owns
-// keeps everything. String-keyed entries are always kept — they are not
-// addressable by the IP-key hash the ring partitions on, and (like the
-// NAME-CNAME family) they are replicated rather than sharded across nodes.
-// AppendShard returns items with a zero Hash, so the filter recomputes the
-// shared hash from the key bytes.
-func (s *store) writeSectionsOwned(w *snapshot.Writer, family uint8, owns func(h uint32) bool) (int, error) {
+// writeSections emits one section run per (generation, split, key space)
+// cell of the store, iterating shard by shard through cmap.AppendShard so
+// only one shard stripe is read-locked at a time. The entry buffer is
+// reused across shards; keys AppendShard returns are fresh copies, so
+// handing them straight to the writer (which copies again into its payload)
+// never aliases map-internal storage. Binary 16-byte keys are kept only
+// when owns(ipHash(key)) is true; a nil owns keeps everything. String-keyed
+// entries are always kept — they are not addressable by the IP-key hash
+// the ring partitions on, and (like the NAME-CNAME family) they are
+// replicated rather than sharded across nodes. AppendShard returns items
+// with a zero Hash, so the filter recomputes the shared hash from the key
+// bytes.
+func (s *store) writeSections(w *snapshot.Writer, family uint8, owns func(h uint32) bool) (int, error) {
 	gens := [...]struct {
 		code uint8
 		maps []*cmap.Map

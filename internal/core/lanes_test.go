@@ -21,7 +21,7 @@ func laneFlow(ts time.Time, srcIP, dstIP string, bytes uint64) netflow.FlowRecor
 
 // TestLanePartitionInvariant pins the partitioning contract: the lane of a
 // flow is a pure function of its destination IP, so flows to the same
-// destination always land on the same lane, and OfferFlow enqueues on
+// destination always land on the same lane, and OfferFlowBatch enqueues on
 // exactly that lane's queue.
 func TestLanePartitionInvariant(t *testing.T) {
 	cfg := DefaultConfig()
@@ -59,10 +59,10 @@ func TestLanePartitionInvariant(t *testing.T) {
 		t.Fatalf("256 destinations used only %d of 8 lanes", len(used))
 	}
 
-	// OfferFlow routes onto the owning lane's queue.
+	// OfferFlowBatch routes onto the owning lane's queue.
 	fr := laneFlow(t0, "198.51.100.1", "203.0.113.77", 100)
 	want := c.laneFor(fr.DstIP)
-	if !c.OfferFlow(fr) {
+	if !offerFlow(c, fr) {
 		t.Fatal("offer rejected on empty queue")
 	}
 	depths := c.LaneDepths()
@@ -93,14 +93,15 @@ func TestLaneDefaults(t *testing.T) {
 	}
 }
 
-// TestCorrelateBatchMatchesCorrelateFlow checks the batch lane-worker path
-// and the single-flow path produce identical results and identical stats.
+// TestCorrelateBatchMatchesCorrelateFlow checks that one many-flow batch
+// (the lane-worker shape) and the same flows as one-element batches produce
+// identical results and identical stats.
 func TestCorrelateBatchMatchesCorrelateFlow(t *testing.T) {
 	mk := func() *Correlator {
 		c := New(DefaultConfig())
-		c.IngestDNS(cnameRec(t0, "service.com", "edge.cdn.net", 300))
-		c.IngestDNS(aRec(t0, "edge.cdn.net", "198.51.100.10", 60))
-		c.IngestDNS(aRec(t0, "plain.example", "198.51.100.11", 60))
+		ingest(c, cnameRec(t0, "service.com", "edge.cdn.net", 300))
+		ingest(c, aRec(t0, "edge.cdn.net", "198.51.100.10", 60))
+		ingest(c, aRec(t0, "plain.example", "198.51.100.11", 60))
 		return c
 	}
 	frs := []netflow.FlowRecord{
@@ -112,7 +113,7 @@ func TestCorrelateBatchMatchesCorrelateFlow(t *testing.T) {
 	single := mk()
 	var want []CorrelatedFlow
 	for _, fr := range frs {
-		want = append(want, single.CorrelateFlow(fr))
+		want = append(want, correlate(single, fr))
 	}
 	batch := mk()
 	got := batch.CorrelateBatch(nil, frs)
@@ -148,7 +149,7 @@ func TestDrainFullLanesDeliversEverything(t *testing.T) {
 	cfg.LookUpWorkers = 4
 	c := New(cfg)
 	for i := 0; i < 200; i++ {
-		c.IngestDNS(aRec(t0, fmt.Sprintf("svc%d.example", i),
+		ingest(c, aRec(t0, fmt.Sprintf("svc%d.example", i),
 			netip.AddrFrom4([4]byte{198, 51, 100, byte(i%200 + 1)}).String(), 300))
 	}
 
@@ -159,7 +160,7 @@ func TestDrainFullLanesDeliversEverything(t *testing.T) {
 			netip.AddrFrom4([4]byte{198, 51, 100, byte(i%200 + 1)}).String(),
 			netip.AddrFrom4([4]byte{203, 0, byte(i / 250), byte(i%250 + 1)}).String(), 1)
 		offered++
-		if c.OfferFlow(fr) {
+		if offerFlow(c, fr) {
 			accepted++
 		}
 	}
@@ -170,7 +171,7 @@ func TestDrainFullLanesDeliversEverything(t *testing.T) {
 		t.Fatal("nothing accepted")
 	}
 
-	sink := NewCountingSink()
+	sink := newFlowCounter()
 	// Run under an already-cancelled context: pure drain.
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
@@ -207,11 +208,11 @@ func TestLanesDestinationLookup(t *testing.T) {
 	c := New(cfg)
 	for i := 0; i < 64; i++ {
 		dst := netip.AddrFrom4([4]byte{203, 0, 113, byte(i + 1)})
-		c.IngestDNS(aRec(t0, fmt.Sprintf("dst%d.example", i), dst.String(), 300))
+		ingest(c, aRec(t0, fmt.Sprintf("dst%d.example", i), dst.String(), 300))
 	}
 	for i := 0; i < 64; i++ {
 		dst := netip.AddrFrom4([4]byte{203, 0, 113, byte(i + 1)})
-		cf := c.CorrelateFlow(laneFlow(t0.Add(time.Second), "198.51.100.1", dst.String(), 10))
+		cf := correlate(c, laneFlow(t0.Add(time.Second), "198.51.100.1", dst.String(), 10))
 		if cf.Name != fmt.Sprintf("dst%d.example", i) {
 			t.Fatalf("dst lookup %d = %+v", i, cf)
 		}
@@ -223,7 +224,7 @@ func TestLanesDestinationLookup(t *testing.T) {
 // than stored under a key no flow can ever produce.
 func TestIngestDNSUnparsableAnswer(t *testing.T) {
 	c := New(DefaultConfig())
-	c.IngestDNS(aRec(t0, "weird.example", "not-an-ip", 300))
+	ingest(c, aRec(t0, "weird.example", "not-an-ip", 300))
 	st := c.Stats()
 	if st.DNSInvalid != 1 || st.DNSRecords != 0 {
 		t.Fatalf("invalid=%d records=%d, want 1/0", st.DNSInvalid, st.DNSRecords)

@@ -25,19 +25,19 @@ func TestQuickResolvedNamesWereIngested(t *testing.T) {
 			switch r.next() % 3 {
 			case 0, 1:
 				ip := fmt.Sprintf("198.51.%d.%d", r.next()%4, r.next()%64)
-				c.IngestDNS(stream.DNSRecord{Timestamp: t0, Query: q,
+				ingest(c, stream.DNSRecord{Timestamp: t0, Query: q,
 					RType: dnswire.TypeA, TTL: uint32(r.next() % 9000), Answer: ip})
 				ips = append(ips, ip)
 			default:
 				target := fmt.Sprintf("name%d.example", r.next()%32)
-				c.IngestDNS(stream.DNSRecord{Timestamp: t0, Query: q,
+				ingest(c, stream.DNSRecord{Timestamp: t0, Query: q,
 					RType: dnswire.TypeCNAME, TTL: uint32(r.next() % 9000), Answer: target})
 			}
 			ingested[dnsname.Normalize(q)] = true
 		}
 		for i := 0; i < int(nFlows)+1 && len(ips) > 0; i++ {
 			ip := ips[int(r.next()%uint64(len(ips)))]
-			cf := c.CorrelateFlow(flow(t0.Add(time.Second), ip, 10))
+			cf := correlate(c, flow(t0.Add(time.Second), ip, 10))
 			if cf.Correlated() && !ingested[cf.Name] {
 				return false
 			}
@@ -59,17 +59,17 @@ func TestQuickStatsInvariants(t *testing.T) {
 		for i := 0; i < int(ops)+1; i++ {
 			switch r.next() % 4 {
 			case 0:
-				c.IngestDNS(stream.DNSRecord{Timestamp: t0,
+				ingest(c, stream.DNSRecord{Timestamp: t0,
 					Query:  fmt.Sprintf("n%d.example", r.next()%16),
 					RType:  dnswire.TypeA,
 					TTL:    60,
 					Answer: fmt.Sprintf("198.51.0.%d", r.next()%32)})
 			case 1:
-				c.IngestDNS(stream.DNSRecord{}) // invalid
+				ingest(c, stream.DNSRecord{}) // invalid
 			case 2:
-				c.CorrelateFlow(flow(t0, fmt.Sprintf("198.51.0.%d", r.next()%32), uint64(r.next()%5000)))
+				correlate(c, flow(t0, fmt.Sprintf("198.51.0.%d", r.next()%32), uint64(r.next()%5000)))
 			default:
-				c.CorrelateFlow(flow(t0, fmt.Sprintf("203.0.113.%d", r.next()%32), uint64(r.next()%5000)))
+				correlate(c, flow(t0, fmt.Sprintf("203.0.113.%d", r.next()%32), uint64(r.next()%5000)))
 			}
 		}
 		st := c.Stats()
@@ -96,10 +96,10 @@ func TestQuickExactTTLNeverMatchesExpired(t *testing.T) {
 	f := func(ttl uint16, lagSec uint16) bool {
 		cfg := ConfigForVariant(VariantExactTTL)
 		c := New(cfg)
-		c.IngestDNS(stream.DNSRecord{Timestamp: t0, Query: "q.example",
+		ingest(c, stream.DNSRecord{Timestamp: t0, Query: "q.example",
 			RType: dnswire.TypeA, TTL: uint32(ttl), Answer: "198.51.100.200"})
 		lag := time.Duration(lagSec) * time.Second
-		cf := c.CorrelateFlow(flow(t0.Add(lag), "198.51.100.200", 10))
+		cf := correlate(c, flow(t0.Add(lag), "198.51.100.200", 10))
 		expired := lag > time.Duration(ttl)*time.Second
 		if expired && cf.Correlated() {
 			return false

@@ -7,6 +7,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"maps"
 	"sort"
 	"strconv"
 	"sync"
@@ -211,33 +212,22 @@ func (s *JSONSink) Close() error { return s.Flush() }
 type CountingSink struct {
 	mu    sync.Mutex
 	bytes map[string]uint64
-	flows map[string]uint64
 }
 
 // NewCountingSink returns an empty sink.
 func NewCountingSink() *CountingSink {
-	return &CountingSink{bytes: make(map[string]uint64), flows: make(map[string]uint64)}
+	return &CountingSink{bytes: make(map[string]uint64)}
 }
 
-// WriteBatch accumulates every flow under its resolved name ("" for
-// misses) with one lock acquisition.
+// WriteBatch accumulates every flow's bytes under its resolved name (""
+// for misses) with one lock acquisition.
 func (s *CountingSink) WriteBatch(_ context.Context, batch []CorrelatedFlow) error {
 	s.mu.Lock()
 	for i := range batch {
 		s.bytes[batch[i].Name] += batch[i].Flow.Bytes
-		s.flows[batch[i].Name]++
 	}
 	s.mu.Unlock()
 	return nil
-}
-
-// Add accumulates a single flow — the synchronous-replay convenience the
-// experiments use when correlating record by record.
-func (s *CountingSink) Add(cf CorrelatedFlow) {
-	s.mu.Lock()
-	s.bytes[cf.Name] += cf.Flow.Bytes
-	s.flows[cf.Name]++
-	s.mu.Unlock()
 }
 
 // Flush implements Sink.
@@ -250,22 +240,7 @@ func (s *CountingSink) Close() error { return nil }
 func (s *CountingSink) Bytes() map[string]uint64 {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	out := make(map[string]uint64, len(s.bytes))
-	for k, v := range s.bytes {
-		out[k] = v
-	}
-	return out
-}
-
-// Flows returns a copy of the per-name flow counters.
-func (s *CountingSink) Flows() map[string]uint64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	out := make(map[string]uint64, len(s.flows))
-	for k, v := range s.flows {
-		out[k] = v
-	}
-	return out
+	return maps.Clone(s.bytes)
 }
 
 // MultiSink fans each batch out to several sinks.

@@ -10,6 +10,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"maps"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -85,7 +86,7 @@ func TestTSVSinkConcurrentWriteBatch(t *testing.T) {
 }
 
 func TestCountingSinkConcurrentWriteBatch(t *testing.T) {
-	sink := NewCountingSink()
+	sink := newFlowCounter()
 	const workers, batches, perBatch = 8, 50, 16
 	hammer(t, sink, workers, batches, perBatch)
 	var total uint64
@@ -98,7 +99,7 @@ func TestCountingSinkConcurrentWriteBatch(t *testing.T) {
 }
 
 func TestMultiSinkConcurrentWriteBatch(t *testing.T) {
-	a, b := NewCountingSink(), NewCountingSink()
+	a, b := newFlowCounter(), newFlowCounter()
 	var w syncWriter
 	sink := MultiSink{a, NewTSVSink(&w), b}
 	const workers, batches, perBatch = 4, 30, 8
@@ -179,7 +180,7 @@ func TestRunPropagatesSinkError(t *testing.T) {
 	go func() { runDone <- c.Run(context.Background()) }()
 	// Feed until Run notices the failure and shuts itself down — no
 	// cancellation from our side.
-	c.OfferDNS(aRec(t0, "svc.example", "198.51.100.80", 300))
+	offerDNS(c, aRec(t0, "svc.example", "198.51.100.80", 300))
 	deadline := time.After(5 * time.Second)
 feed:
 	for {
@@ -192,7 +193,7 @@ feed:
 		case <-deadline:
 			t.Fatal("Run did not return after sink failure")
 		default:
-			c.OfferFlow(flow(t0.Add(time.Second), "198.51.100.80", 10))
+			offerFlow(c, flow(t0.Add(time.Second), "198.51.100.80", 10))
 			time.Sleep(100 * time.Microsecond)
 		}
 	}
@@ -239,13 +240,13 @@ func TestRunFlushCloseOrderingOnDrain(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	runDone := make(chan error, 1)
 	go func() { runDone <- c.Run(ctx) }()
-	c.OfferDNS(aRec(t0, "svc.example", "198.51.100.81", 300))
+	offerDNS(c, aRec(t0, "svc.example", "198.51.100.81", 300))
 	for c.Stats().DNSRecords < 1 {
 		time.Sleep(time.Millisecond)
 	}
 	const flows = 100
 	for i := 0; i < flows; i++ {
-		c.OfferFlow(flow(t0.Add(time.Second), "198.51.100.81", 10))
+		offerFlow(c, flow(t0.Add(time.Second), "198.51.100.81", 10))
 	}
 	cancel()
 	if err := <-runDone; err != nil {
@@ -321,4 +322,32 @@ func TestSinkRegistry(t *testing.T) {
 	if s, err := NewSinkByName("test-null", SinkOptions{}); err != nil || s == nil {
 		t.Fatalf("custom sink: %v", err)
 	}
+}
+
+// flowCounter is a CountingSink that also counts flows per name —
+// the delivery ground truth the tests reconcile against.
+type flowCounter struct {
+	*CountingSink
+	mu    sync.Mutex
+	flows map[string]uint64
+}
+
+func newFlowCounter() *flowCounter {
+	return &flowCounter{CountingSink: NewCountingSink(), flows: make(map[string]uint64)}
+}
+
+func (s *flowCounter) WriteBatch(ctx context.Context, batch []CorrelatedFlow) error {
+	s.mu.Lock()
+	for i := range batch {
+		s.flows[batch[i].Name]++
+	}
+	s.mu.Unlock()
+	return s.CountingSink.WriteBatch(ctx, batch)
+}
+
+// Flows returns a copy of the per-name flow counts.
+func (s *flowCounter) Flows() map[string]uint64 {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return maps.Clone(s.flows)
 }

@@ -63,7 +63,7 @@ func genSnapshotWorkload(c *Correlator, n int) []stream.DNSRecord {
 		emit(i, snapBase.Add(2*time.Hour+time.Duration(i)*time.Millisecond))
 	}
 	for _, r := range recs {
-		c.IngestDNS(r)
+		ingest(c, r)
 	}
 	return recs
 }
@@ -80,10 +80,13 @@ func dumpStore(s *store) map[string]map[string]dumpEntry {
 	for name, maps := range map[string][]*cmap.Map{"active": s.active, "inactive": s.inactive, "long": s.long} {
 		g := map[string]dumpEntry{}
 		for _, m := range maps {
-			m.RangeExpire(func(k, v string, exp int64) bool {
-				g[k] = dumpEntry{v, exp}
-				return true
-			})
+			for sh := 0; sh < m.ShardCount(); sh++ {
+				for _, space := range []cmap.KeySpace{cmap.Strings, cmap.Binary} {
+					for _, it := range m.AppendShard(sh, space, nil) {
+						g[string(it.Key)] = dumpEntry{it.Value, it.Exp}
+					}
+				}
+			}
 		}
 		out[name] = g
 	}
@@ -109,7 +112,7 @@ func diffDumps(t *testing.T, label string, want, got map[string]map[string]dumpE
 func snapshotBytes(t *testing.T, c *Correlator) []byte {
 	t.Helper()
 	var buf bytes.Buffer
-	if err := c.WriteSnapshot(&buf, snapBase.UnixNano()); err != nil {
+	if _, err := c.WriteSnapshotOwned(&buf, snapBase.UnixNano(), nil); err != nil {
 		t.Fatal(err)
 	}
 	return buf.Bytes()
@@ -193,8 +196,8 @@ func TestSnapshotRestoreDropsExpired(t *testing.T) {
 			DstIP: netip.AddrFrom4([4]byte{192, 0, 2, 1}),
 			Bytes: 1, Packets: 1, SrcPort: 443, DstPort: 1, Proto: netflow.ProtoTCP,
 		}
-		got := c2.CorrelateFlow(fr)
-		orig := c.CorrelateFlow(fr)
+		got := correlate(c2, fr)
+		orig := correlate(c, fr)
 		if got.Name != orig.Name {
 			t.Fatalf("lookup %s: restored %q, original %q", r.Addr, got.Name, orig.Name)
 		}
@@ -282,7 +285,7 @@ func TestRestoreCorruptSnapshot(t *testing.T) {
 			t.Fatalf("err = %v, want ErrCorrupt", err)
 		}
 		// The correlator is live regardless.
-		c2.IngestDNS(stream.DNSRecord{
+		ingest(c2, stream.DNSRecord{
 			Timestamp: snapBase, Query: "x.example", RType: 1, TTL: 60,
 			Answer: "192.0.2.7", Addr: netip.MustParseAddr("192.0.2.7"),
 		})
@@ -350,7 +353,7 @@ func TestRestoreReinterns(t *testing.T) {
 	// once per lane at most.
 	for i := 0; i < 64; i++ {
 		addr := netip.AddrFrom4([4]byte{10, 0, byte(i >> 8), byte(i)})
-		c.IngestDNS(stream.DNSRecord{
+		ingest(c, stream.DNSRecord{
 			Timestamp: snapBase, Query: "one.name.example", RType: 1, TTL: 60,
 			Answer: addr.String(), Addr: addr,
 		})
@@ -389,7 +392,7 @@ func TestCheckpointDuringFills(t *testing.T) {
 			default:
 			}
 			addr := netip.AddrFrom4([4]byte{10, 1, byte(i >> 8), byte(i)})
-			c.IngestDNS(stream.DNSRecord{
+			ingest(c, stream.DNSRecord{
 				Timestamp: snapBase.Add(time.Duration(i) * time.Millisecond),
 				Query:     fmt.Sprintf("svc%d.example", i%13), RType: 1, TTL: 300,
 				Answer: addr.String(), Addr: addr,
@@ -399,7 +402,7 @@ func TestCheckpointDuringFills(t *testing.T) {
 	}()
 	for round := 0; round < 20; round++ {
 		var buf bytes.Buffer
-		if err := c.WriteSnapshot(&buf, snapBase.UnixNano()); err != nil {
+		if _, err := c.WriteSnapshotOwned(&buf, snapBase.UnixNano(), nil); err != nil {
 			t.Fatal(err)
 		}
 		c2 := New(DefaultConfig())

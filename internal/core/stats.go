@@ -141,6 +141,9 @@ type Stats struct {
 	NameCnameRotations uint64
 	Sweeps             uint64 // exact-TTL mode only
 	SweptEntries       uint64
+	// SweepScanned counts the entries exact-TTL sweeps visited: the
+	// deterministic work the A.8 design adds per inserted record.
+	SweepScanned uint64
 
 	// Checkpoints counts successful snapshot writes this run (periodic plus
 	// the final one); CheckpointErrors counts failed attempts.
@@ -234,6 +237,7 @@ func (c *Correlator) Stats() Stats {
 		NameCnameRotations: c.nameCname.rotations.Load(),
 		Sweeps:             c.ipName.sweeps.Load() + c.nameCname.sweeps.Load(),
 		SweptEntries:       c.ipName.swept.Load() + c.nameCname.swept.Load(),
+		SweepScanned:       c.ipName.scanned.Load() + c.nameCname.scanned.Load(),
 		Checkpoints:        c.stats.checkpoints.Load(),
 		CheckpointErrors:   c.stats.checkpointErrors.Load(),
 		RestoredEntries:    uint64(c.restoreStats.Entries),

@@ -70,6 +70,7 @@ type store struct {
 	rotations atomic.Uint64
 	sweeps    atomic.Uint64
 	swept     atomic.Uint64
+	scanned   atomic.Uint64 // entries the sweeps visited (pre-scan Len)
 }
 
 // storeConfig carries the subset of Config a store needs.
@@ -163,26 +164,6 @@ func (s *store) putHash(ts time.Time, ttl uint32, h uint32, key, value string) {
 	s.active[n].SetHash(h, key, value)
 }
 
-// putBytesHash is put for a byte-slice key (the correlator's binary IP
-// keys) with a caller-supplied hash. The caller must use the same hash
-// function for every operation touching these keys — the correlator uses
-// ipHash — since it selects both the split and the shard. The key bytes
-// are only copied when the map inserts the entry.
-func (s *store) putBytesHash(ts time.Time, ttl uint32, h uint32, key []byte, value string) {
-	s.maybeClearUp(ts)
-	if s.exactTTL {
-		s.maybeSweep(ts)
-		s.active[s.splitFor(h)].SetBytesHashExpire(h, key, value, expiryOf(ts, ttl))
-		return
-	}
-	n := s.splitFor(h)
-	if s.longEnabled && time.Duration(ttl)*time.Second >= s.ttlThreshold {
-		s.long[n].SetBytesHash(h, key, value)
-		return
-	}
-	s.active[n].SetBytesHash(h, key, value)
-}
-
 // putItems is the batched binary-key fill path: the clear-up clock advances
 // once per batch (ts is the batch's latest record timestamp) and the items
 // are grouped by destination split and shard, so each touched shard is
@@ -194,8 +175,26 @@ func (s *store) putItems(ts time.Time, active, long []cmap.Item, sc *dispatchScr
 	if s.exactTTL {
 		s.maybeSweep(ts)
 	}
-	s.dispatchItems(s.active, active, sc)
-	s.dispatchItems(s.long, long, sc)
+	if len(active) > 0 {
+		s.dispatchItems(s.active, active, sc)
+	}
+	if len(long) > 0 {
+		s.dispatchItems(s.long, long, sc)
+	}
+}
+
+// putOne is putItems for a single binary-key item: the same clock step
+// and placement, stored straight into its shard without grouping scratch.
+func (s *store) putOne(ts time.Time, h uint32, key *[16]byte, value string, exp int64, long bool) {
+	s.maybeClearUp(ts)
+	if s.exactTTL {
+		s.maybeSweep(ts)
+	}
+	gen := s.active
+	if long {
+		gen = s.long
+	}
+	gen[s.splitFor(h)].SetBytesHashExpire(h, key[:], value, exp)
 }
 
 // dispatchScratch is the reusable buffer set one dispatchItems call sorts
@@ -218,9 +217,6 @@ type dispatchScratch struct {
 // sort's cost on the per-batch path.
 func (s *store) dispatchItems(gen []*cmap.Map, items []cmap.Item, sc *dispatchScratch) {
 	n := len(items)
-	if n == 0 {
-		return
-	}
 	if n == 1 {
 		gen[s.splitFor(items[0].Hash)].SetItems(items)
 		return
@@ -425,13 +421,15 @@ func (s *store) maybeSweep(ts time.Time) {
 	if !s.lastSweep.CompareAndSwap(last, ts.UnixNano()) {
 		return // another worker is sweeping
 	}
-	removed := 0
+	scanned, removed := 0, 0
 	now := ts.UnixNano()
 	for i := range s.active {
+		scanned += s.active[i].Len()
 		removed += s.active[i].RemoveIfExpired(now)
 	}
 	s.sweeps.Add(1)
 	s.swept.Add(uint64(removed))
+	s.scanned.Add(uint64(scanned))
 }
 
 // size returns total entries across all generations and splits.

@@ -164,22 +164,10 @@ func checkLabel(label string) Violation {
 	return OK
 }
 
-// Valid reports whether name passes all rules.
-func Valid(name string) bool { return Check(name) == OK }
-
 // HasUnderscore reports whether the name contains an underscore anywhere.
 // The paper finds '_' in 87% of malformatted domains (service-discovery
 // names like _sip._tcp.example.com are the usual culprits).
 func HasUnderscore(name string) bool { return strings.IndexByte(name, '_') >= 0 }
-
-// Labels splits a normalized name into its labels. An empty name yields nil.
-func Labels(name string) []string {
-	name = strings.TrimSuffix(name, ".")
-	if name == "" {
-		return nil
-	}
-	return strings.Split(name, ".")
-}
 
 // Report summarizes violations across a set of names; used by the fig5 /
 // invalid-domain experiments.

@@ -15,11 +15,6 @@ var (
 	ErrTooManyRRs  = errors.New("dnswire: section count implausibly large")
 )
 
-// maxSectionCount rejects messages whose header claims more records than the
-// byte budget could possibly hold (each RR needs >= 11 bytes). Guards the
-// decoder against allocation bombs on hostile input.
-const minRRBytes = 11
-
 // header bit masks.
 const (
 	bitQR = 1 << 15
@@ -195,17 +190,6 @@ func Decode(msg []byte) (*Message, error) {
 		return nil, ErrTrailingGarbage
 	}
 	return m, nil
-}
-
-// DecodePrefix parses one DNS message from the front of msg and returns it
-// along with the number of bytes consumed, permitting trailing data.
-func DecodePrefix(msg []byte) (*Message, int, error) {
-	m := new(Message)
-	off, err := decodeInto(msg, m)
-	if err != nil {
-		return nil, 0, err
-	}
-	return m, off, nil
 }
 
 func decodeInto(msg []byte, m *Message) (int, error) {

@@ -71,12 +71,8 @@ func (t Type) String() string {
 // Class is a DNS RR class. Only IN matters in practice.
 type Class uint16
 
-// Classes.
-const (
-	ClassIN  Class = 1
-	ClassCH  Class = 3
-	ClassANY Class = 255
-)
+// ClassIN is the Internet class.
+const ClassIN Class = 1
 
 // RCode is a response code (RFC 1035 §4.1.1).
 type RCode uint8
@@ -111,16 +107,8 @@ func (r RCode) String() string {
 	}
 }
 
-// OpCode is a DNS operation code.
+// OpCode is a DNS operation code (0 = standard query).
 type OpCode uint8
-
-// Opcodes.
-const (
-	OpQuery  OpCode = 0
-	OpStatus OpCode = 2
-	OpNotify OpCode = 4
-	OpUpdate OpCode = 5
-)
 
 // Header is the fixed 12-byte DNS message header.
 type Header struct {

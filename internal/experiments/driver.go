@@ -99,18 +99,11 @@ func RunSim(p SimParams) *SimResult {
 		flowsThisHour := int(float64(p.FlowsPerHour) * mult)
 		for s := 0; s < p.StepsPerHour; s++ {
 			ts := hourStart.Add(time.Duration(s) * time.Hour / time.Duration(p.StepsPerHour))
-			for _, rec := range g.DNSBatch(ts, dnsThisHour/p.StepsPerHour) {
-				c.IngestDNS(rec)
-			}
-			frs := g.FlowBatch(ts, flowsThisHour/p.StepsPerHour)
-			batch = batch[:0]
-			for _, fr := range frs {
-				cf := c.CorrelateFlow(fr)
-				if p.Sink != nil {
-					batch = append(batch, cf)
-				}
-				if p.OnFlow != nil {
-					p.OnFlow(h, cf)
+			c.IngestDNSBatch(g.DNSBatch(ts, dnsThisHour/p.StepsPerHour))
+			batch = c.CorrelateBatch(batch[:0], g.FlowBatch(ts, flowsThisHour/p.StepsPerHour))
+			if p.OnFlow != nil {
+				for i := range batch {
+					p.OnFlow(h, batch[i])
 				}
 			}
 			if p.Sink != nil && len(batch) > 0 {

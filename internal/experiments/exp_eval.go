@@ -153,15 +153,16 @@ func runAccuracy(_ float64) *Result {
 		if err != nil {
 			panic(fmt.Sprintf("accuracy: %v", err))
 		}
-		for _, rec := range recs {
-			c.IngestDNS(rec)
+		// Consecutive capture records carry their own timestamps: one
+		// record per fill keeps the record clock exact.
+		for i := range recs {
+			c.IngestDNSBatch(recs[i : i+1])
 		}
 		var correct, total uint64
-		for _, fr := range tr.FlowRecords() {
-			cf := c.CorrelateFlow(fr)
-			total += fr.Bytes
-			if cf.Name == tr.TruthFor(fr) {
-				correct += fr.Bytes
+		for _, cf := range c.CorrelateBatch(nil, tr.FlowRecords()) {
+			total += cf.Flow.Bytes
+			if cf.Name == tr.TruthFor(cf.Flow) {
+				correct += cf.Flow.Bytes
 			}
 		}
 		return ratio(float64(correct), float64(total))
@@ -238,7 +239,7 @@ func runExactTTL(scale float64) *Result {
 			c := core.New(cfg, nil)
 			start := time.Now()
 			for i := range dns {
-				c.IngestDNS(dns[i])
+				c.IngestDNSBatch(dns[i : i+1])
 			}
 			elapsed := time.Since(start).Seconds()
 			if t := float64(len(dns)) / elapsed; t > recsPerSec {
@@ -248,22 +249,24 @@ func runExactTTL(scale float64) *Result {
 		return recsPerSec
 	}
 
-	// Interleaved (untimed) replay for the state-size and correlation
-	// metrics: fills and lookups alternate in stream proportion, so peak
-	// entries and the correlation rate reflect the two designs under the
-	// same traffic.
-	replay := func(v core.Variant, dns []stream.DNSRecord, flows []netflow.FlowRecord) (peakEntries int, corr float64) {
+	// Interleaved (untimed) replay for the state-size, correlation and
+	// sweep-work metrics: fills and lookups alternate in stream proportion,
+	// so peak entries, the correlation rate and the entries the exact-TTL
+	// sweeps scan per inserted record (a deterministic work count, unlike
+	// the wall-clock throughput) reflect the two designs under the same
+	// traffic.
+	replay := func(v core.Variant, dns []stream.DNSRecord, flows []netflow.FlowRecord) (peakEntries int, corr, scanPerRec float64) {
 		cfg := core.ConfigForVariant(v)
 		cfg.ExactTTLSweepInterval = sweepInterval
-		ratio := len(flows) / max(1, len(dns))
+		perDNS := len(flows) / max(1, len(dns))
 		c := core.New(cfg, nil)
 		fi := 0
+		var out []core.CorrelatedFlow
 		for i := 0; i < len(dns); i++ {
-			c.IngestDNS(dns[i])
-			for k := 0; k < ratio && fi < len(flows); k++ {
-				c.CorrelateFlow(flows[fi])
-				fi++
-			}
+			c.IngestDNSBatch(dns[i : i+1])
+			n := min(perDNS, len(flows)-fi)
+			out = c.CorrelateBatch(out[:0], flows[fi:fi+n])
+			fi += n
 			if i%8192 == 0 {
 				ip, cn := c.StoreSizes()
 				if ip+cn > peakEntries {
@@ -271,21 +274,20 @@ func runExactTTL(scale float64) *Result {
 				}
 			}
 		}
-		for ; fi < len(flows); fi++ {
-			c.CorrelateFlow(flows[fi])
-		}
-		return peakEntries, c.Stats().CorrelationRate()
+		c.CorrelateBatch(out[:0], flows[fi:])
+		st := c.Stats()
+		return peakEntries, st.CorrelationRate(), ratio(float64(st.SweepScanned), float64(st.DNSRecords))
 	}
 
-	measure := func(v core.Variant) (recsPerSec float64, peakEntries int, corr float64) {
+	measure := func(v core.Variant) (recsPerSec float64, peakEntries int, corr, scanPerRec float64) {
 		dns, flows := prep(20) // one workload generation per variant
 		recsPerSec = fillRate(v, dns)
-		peakEntries, corr = replay(v, dns, flows)
-		return recsPerSec, peakEntries, corr
+		peakEntries, corr, scanPerRec = replay(v, dns, flows)
+		return recsPerSec, peakEntries, corr, scanPerRec
 	}
 
-	mainTput, mainPeak, mainCorr := measure(core.VariantMain)
-	ttlTput, ttlPeak, ttlCorr := measure(core.VariantExactTTL)
+	mainTput, mainPeak, mainCorr, mainScan := measure(core.VariantMain)
+	ttlTput, ttlPeak, ttlCorr, ttlScan := measure(core.VariantExactTTL)
 
 	// Offered rate: 95 % of what Main sustains. Main's implied loss is ~0;
 	// the exact-TTL variant drops everything beyond its throughput.
@@ -301,6 +303,9 @@ func runExactTTL(scale float64) *Result {
 	r.addLine("%-10s %-16s %-14s %-12s %-10s", "variant", "throughput r/s", "implied loss", "peak entries", "corr")
 	r.addLine("%-10s %-16.0f %-14.4f %-12d %-10.3f", "Main", mainTput, impliedLoss(mainTput), mainPeak, mainCorr)
 	r.addLine("%-10s %-16.0f %-14.4f %-12d %-10.3f", "ExactTTL", ttlTput, impliedLoss(ttlTput), ttlPeak, ttlCorr)
+	r.addLine("sweep entries scanned per inserted record: Main %.2f, ExactTTL %.2f", mainScan, ttlScan)
+	r.set("main_scan_per_rec", mainScan)
+	r.set("exactttl_scan_per_rec", ttlScan)
 	r.set("main_tput", mainTput)
 	r.set("exactttl_tput", ttlTput)
 	r.set("main_loss", impliedLoss(mainTput))

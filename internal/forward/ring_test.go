@@ -36,8 +36,8 @@ func TestRingOrderIndependence(t *testing.T) {
 			t.Fatal(err)
 		}
 		for _, h := range hashSample(20000) {
-			if a.OwnerName(h) != b.OwnerName(h) {
-				t.Fatalf("order %v: owner(%#x) = %s, want %s", shuffled, h, b.OwnerName(h), a.OwnerName(h))
+			if a.Nodes()[a.Owner(h)] != b.Nodes()[b.Owner(h)] {
+				t.Fatalf("order %v: owner(%#x) = %s, want %s", shuffled, h, b.Nodes()[b.Owner(h)], a.Nodes()[a.Owner(h)])
 			}
 		}
 	}
@@ -60,7 +60,7 @@ func TestRingStabilityUnderAddRemove(t *testing.T) {
 
 	movedToNew := 0
 	for _, h := range sample {
-		ob, oa := before.OwnerName(h), after.OwnerName(h)
+		ob, oa := before.Nodes()[before.Owner(h)], after.Nodes()[after.Owner(h)]
 		if oa == "w4" {
 			movedToNew++
 			continue
@@ -78,10 +78,10 @@ func TestRingStabilityUnderAddRemove(t *testing.T) {
 	// Remove is the inverse view: keys w4 owned scatter across survivors,
 	// everything else stays put.
 	for _, h := range sample {
-		if after.OwnerName(h) == "w4" {
+		if after.Nodes()[after.Owner(h)] == "w4" {
 			continue
 		}
-		if before.OwnerName(h) != after.OwnerName(h) {
+		if before.Nodes()[before.Owner(h)] != after.Nodes()[after.Owner(h)] {
 			t.Fatalf("remove w4 would move %#x", h)
 		}
 	}
@@ -107,7 +107,7 @@ func TestRingOwnsPartition(t *testing.T) {
 		preds[n] = p
 	}
 	for _, h := range hashSample(20000) {
-		owner := r.OwnerName(h)
+		owner := r.Nodes()[r.Owner(h)]
 		for n, p := range preds {
 			if got, want := p(h), n == owner; got != want {
 				t.Fatalf("Owns(%s)(%#x) = %v, Owner = %s", n, h, got, owner)
@@ -132,7 +132,7 @@ func TestRingBalance(t *testing.T) {
 	counts := map[string]int{}
 	sample := hashSample(100000)
 	for _, h := range sample {
-		counts[r.OwnerName(h)]++
+		counts[r.Nodes()[r.Owner(h)]]++
 	}
 	fair := len(sample) / len(names)
 	for _, n := range names {

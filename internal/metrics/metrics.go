@@ -61,71 +61,6 @@ func HeapMB() float64 {
 	return float64(ms.HeapAlloc) / (1 << 20)
 }
 
-// Point is one sample of a time series.
-type Point struct {
-	T time.Time
-	V float64
-}
-
-// Series is an append-only time series with summary helpers.
-type Series struct {
-	Name   string
-	Points []Point
-}
-
-// Add appends a sample.
-func (s *Series) Add(t time.Time, v float64) {
-	s.Points = append(s.Points, Point{T: t, V: v})
-}
-
-// Min returns the smallest sample value (0 for an empty series).
-func (s *Series) Min() float64 {
-	if len(s.Points) == 0 {
-		return 0
-	}
-	m := s.Points[0].V
-	for _, p := range s.Points[1:] {
-		if p.V < m {
-			m = p.V
-		}
-	}
-	return m
-}
-
-// Max returns the largest sample value (0 for an empty series).
-func (s *Series) Max() float64 {
-	if len(s.Points) == 0 {
-		return 0
-	}
-	m := s.Points[0].V
-	for _, p := range s.Points[1:] {
-		if p.V > m {
-			m = p.V
-		}
-	}
-	return m
-}
-
-// Mean returns the arithmetic mean (0 for an empty series).
-func (s *Series) Mean() float64 {
-	if len(s.Points) == 0 {
-		return 0
-	}
-	sum := 0.0
-	for _, p := range s.Points {
-		sum += p.V
-	}
-	return sum / float64(len(s.Points))
-}
-
-// Last returns the final sample value (0 for an empty series).
-func (s *Series) Last() float64 {
-	if len(s.Points) == 0 {
-		return 0
-	}
-	return s.Points[len(s.Points)-1].V
-}
-
 // ECDF is an empirical cumulative distribution over float64 samples.
 type ECDF struct {
 	sorted bool
@@ -138,14 +73,6 @@ func NewECDF() *ECDF { return &ECDF{} }
 // Add inserts a sample.
 func (e *ECDF) Add(x float64) {
 	e.xs = append(e.xs, x)
-	e.sorted = false
-}
-
-// AddN inserts x with multiplicity n (used for weighted counts).
-func (e *ECDF) AddN(x float64, n int) {
-	for i := 0; i < n; i++ {
-		e.xs = append(e.xs, x)
-	}
 	e.sorted = false
 }
 

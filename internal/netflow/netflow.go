@@ -4,8 +4,9 @@
 // interfaces" (paper §2); each record carries at least srcIP, dstIP, a
 // timestamp, and packet/byte counters. This package provides:
 //
-//   - a complete NetFlow v5 encoder/decoder (fixed 24-byte header,
-//     48-byte records, RFC-less but ubiquitous Cisco format);
+//   - a NetFlow v5 decoder (fixed 24-byte header, 48-byte records,
+//     RFC-less but ubiquitous Cisco format) converting straight into
+//     neutral records;
 //   - a NetFlow v9 (RFC 3954) encoder/decoder with template FlowSets, data
 //     FlowSets, and a per-exporter template cache, the format actually
 //     exported by ISP-grade routers;

@@ -20,42 +20,18 @@ const (
 
 // RFC 3954 field types used by the FlowDNS-relevant template.
 const (
-	FieldInBytes      = 1
-	FieldInPkts       = 2
-	FieldProtocol     = 4
-	FieldL4SrcPort    = 7
-	FieldIPv4SrcAddr  = 8
-	FieldL4DstPort    = 11
-	FieldIPv4DstAddr  = 12
-	FieldIPv6SrcAddr  = 27
-	FieldIPv6DstAddr  = 28
-	FieldFirstSwitch  = 22
-	FieldLastSwitch   = 21
-	FieldSrcAS        = 16
-	FieldDstAS        = 17
-	FieldInputSNMP    = 10
-	FieldOutputSNMP   = 14
-	FieldFlowStartMs  = 152 // IPFIX-style absolute ms, exported by many v9 stacks
-	FieldFlowEndMs    = 153
-	FieldIPv4NextHop  = 15
-	FieldTCPFlags     = 6
-	FieldSrcTos       = 5
-	FieldDirection    = 61
-	FieldSamplerID    = 48
-	FieldFlowSampler  = 49
-	FieldVLANIn       = 58
-	FieldVLANOut      = 59
-	FieldMinTTL       = 52
-	FieldMaxTTL       = 53
-	FieldICMPType     = 32
-	FieldIPVersion    = 60
-	FieldBGPNextHop   = 18
-	FieldMulDstPkts   = 19
-	FieldMulDstBytes  = 20
-	FieldTotalBytes   = 85
-	FieldTotalPkts    = 86
-	FieldPostNATSrcV4 = 225
-	FieldPostNATDstV4 = 226
+	FieldInBytes     = 1
+	FieldInPkts      = 2
+	FieldProtocol    = 4
+	FieldL4SrcPort   = 7
+	FieldIPv4SrcAddr = 8
+	FieldL4DstPort   = 11
+	FieldIPv4DstAddr = 12
+	FieldIPv6SrcAddr = 27
+	FieldIPv6DstAddr = 28
+	FieldFlowStartMs = 152 // IPFIX-style absolute ms, exported by many v9 stacks
+	FieldTotalBytes  = 85
+	FieldTotalPkts   = 86
 )
 
 // Errors returned by the v9 codec.
@@ -64,7 +40,6 @@ var (
 	ErrV9Version      = errors.New("netflow: not a v9 packet")
 	ErrV9SetShort     = errors.New("netflow: v9 flowset shorter than declared")
 	ErrV9SetLength    = errors.New("netflow: v9 flowset length below minimum")
-	ErrV9NoTemplate   = errors.New("netflow: data flowset without known template")
 	ErrV9BadTemplate  = errors.New("netflow: malformed template flowset")
 	ErrV9ZeroLenField = errors.New("netflow: template field with zero length")
 )

@@ -114,7 +114,7 @@ func (t *Trace) DNSRecords() ([]stream.DNSRecord, error) {
 		if err != nil {
 			return nil, fmt.Errorf("pcaplite: packet %d: %w", i, err)
 		}
-		out = append(out, stream.FlattenResponse(msg, p.Timestamp)...)
+		out = stream.FlattenResponseInto(out, msg, p.Timestamp)
 	}
 	return out, nil
 }
@@ -154,19 +154,6 @@ func (t *Trace) FlowRecords() []netflow.FlowRecord {
 		out = append(out, *agg[k])
 	}
 	return out
-}
-
-// Truth returns the ground-truth website for a flow's source address, or ""
-// when the trace never labelled it. When websites share an address, use
-// TruthFor with the full flow instead.
-func (t *Trace) Truth(src netip.Addr) string {
-	for i := range t.Packets {
-		p := &t.Packets[i]
-		if !p.IsDNS && p.SrcIP == src {
-			return p.Truth
-		}
-	}
-	return ""
 }
 
 // TruthFor returns the ground-truth website of the session a flow record

@@ -34,17 +34,6 @@ func (s Stats) Offered() uint64 { return s.Enqueued + s.Dropped + s.Sampled }
 // deliberate.
 func (s Stats) Lost() uint64 { return s.Dropped + s.Sampled }
 
-// LossRate returns (Dropped + Sampled) / Offered in [0,1]; 0 when nothing
-// was offered. Sampled shed counts as loss: the operator chose the rate,
-// but the records are gone all the same.
-func (s Stats) LossRate() float64 {
-	off := s.Offered()
-	if off == 0 {
-		return 0
-	}
-	return float64(s.Lost()) / float64(off)
-}
-
 // SamplerConfig configures adaptive overload shedding on a queue: instead
 // of running the buffer into the wall and dropping whatever arrives after
 // (silent, bursty, biased toward whoever offers last), the queue starts
@@ -85,9 +74,10 @@ func (c SamplerConfig) rate(fill float64) float64 {
 }
 
 // Queue is a bounded FIFO of values of type T. Producers never block: when
-// the buffer is full, Offer drops the record and increments the drop
-// counter, mirroring the stream-buffer semantics of the paper's data feeds.
-// Consumers block on Take until a record arrives or the queue is closed.
+// the buffer is full, OfferBatch drops the records that do not fit and
+// increments the drop counter, mirroring the stream-buffer semantics of the
+// paper's data feeds. Consumers block on TakeBatch until a record arrives
+// or the queue is closed.
 type Queue[T any] struct {
 	ch       chan T
 	enqueued atomic.Uint64
@@ -124,9 +114,6 @@ func New[T any](capacity int) *Queue[T] {
 // producer offers; the config is read lock-free on the offer path.
 func (q *Queue[T]) SetSampler(c SamplerConfig) { q.sampler = c }
 
-// Sampler returns the installed sampler config (zero when disabled).
-func (q *Queue[T]) Sampler() SamplerConfig { return q.sampler }
-
 // planShed decides how many of the next n offered records the sampler
 // sheds, based on the current buffer fill. The fixed-point credit
 // accumulator makes the decision deterministic: over any run the shed
@@ -146,42 +133,11 @@ func (q *Queue[T]) planShed(n int) int {
 	return int(now/shedScale - (now-uint64(n)*credit)/shedScale)
 }
 
-// Offer attempts a non-blocking enqueue. It reports whether the queue took
-// responsibility for the record; a false return means the record was
-// dropped and counted as loss. Offer on a closed queue counts the record
-// as dropped.
-//
-// With a sampler installed, a record the sampler sheds also reports true:
-// the queue accepted it and deliberately discarded it (counted in
-// Stats.Sampled). Producers therefore keep counting only accidental
-// overflow as their own drops, and the deliberate shed stays accounted in
-// exactly one place — the queue.
-func (q *Queue[T]) Offer(v T) bool {
-	q.mu.RLock()
-	defer q.mu.RUnlock()
-	if q.closed {
-		q.dropped.Add(1)
-		return false
-	}
-	if q.planShed(1) > 0 {
-		q.sampled.Add(1)
-		return true
-	}
-	select {
-	case q.ch <- v:
-		q.enqueued.Add(1)
-		return true
-	default:
-		q.dropped.Add(1)
-		return false
-	}
-}
-
 // OfferBatch attempts a non-blocking enqueue of every record in vs and
 // returns the number the queue took responsibility for. Records that do
-// not fit are dropped and counted as loss, exactly as with per-record
-// Offer, but the counter updates are amortized to a few atomic adds per
-// call — the hot-path batching the LookUp→Write handoff relies on.
+// not fit are dropped and counted as loss; the counter updates are
+// amortized to a few atomic adds per call. Offering on a closed queue
+// counts the whole batch as dropped.
 //
 // With a sampler installed, the shed quota for the batch is taken off the
 // front (batch order carries no meaning within one datagram) and those
@@ -222,35 +178,16 @@ func (q *Queue[T]) OfferBatch(vs []T) int {
 	return accepted + shed
 }
 
-// Put enqueues v, blocking until space is available. Used by offline replays
-// where back-pressure, not loss, is the desired behaviour. Put holds the
-// queue open against Close for its duration; do not Close a queue while a
-// Put may be blocked forever (no consumers), and do not Put after Close —
-// that Put counts as a drop.
-func (q *Queue[T]) Put(v T) {
-	q.mu.RLock()
-	defer q.mu.RUnlock()
-	if q.closed {
-		q.dropped.Add(1)
-		return
-	}
-	if q.planShed(1) > 0 {
-		q.sampled.Add(1)
-		return
-	}
-	q.ch <- v
-	q.enqueued.Add(1)
-}
-
 // PutBatch enqueues every record in vs, blocking for space as needed, and
 // returns the number the queue took responsibility for (with a sampler
 // installed that includes records shed into Stats.Sampled, same as
 // OfferBatch). It is the backpressure form of OfferBatch:
 // inter-stage handoffs use it so that records already accepted into the
 // pipeline are never dropped between stages — loss is accounted only at the
-// intake queues, as with the paper's stream buffers. Like Put, it must not
-// be called after Close (the whole batch then counts as dropped) and
-// requires consumers to be draining the queue until Close.
+// intake queues, as with the paper's stream buffers. It holds the queue
+// open against Close for its duration, so it must not be called after
+// Close (the whole batch then counts as dropped) and requires consumers to
+// be draining the queue until Close.
 func (q *Queue[T]) PutBatch(vs []T) int {
 	if len(vs) == 0 {
 		return 0
@@ -273,16 +210,6 @@ func (q *Queue[T]) PutBatch(vs []T) int {
 		q.enqueued.Add(uint64(len(vs)))
 	}
 	return len(vs) + shed
-}
-
-// Take dequeues the next record, blocking until one is available. ok is
-// false when the queue has been closed and drained.
-func (q *Queue[T]) Take() (v T, ok bool) {
-	v, ok = <-q.ch
-	if ok {
-		q.dequeued.Add(1)
-	}
-	return v, ok
 }
 
 // TakeBatch appends up to max records to buf and returns the extended
@@ -340,21 +267,6 @@ func (q *Queue[T]) TakeBatch(buf []T, max int, wait time.Duration) ([]T, bool) {
 	return buf, true
 }
 
-// TryTake dequeues without blocking. ok is false if the queue is empty (or
-// closed and drained).
-func (q *Queue[T]) TryTake() (v T, ok bool) {
-	select {
-	case v, ok = <-q.ch:
-		if ok {
-			q.dequeued.Add(1)
-		}
-		return v, ok
-	default:
-		var zero T
-		return zero, false
-	}
-}
-
 // Close marks the queue as complete. Consumers drain remaining records and
 // then observe ok == false. Close is idempotent.
 func (q *Queue[T]) Close() {
@@ -369,9 +281,6 @@ func (q *Queue[T]) Close() {
 // Len returns the number of buffered records.
 func (q *Queue[T]) Len() int { return len(q.ch) }
 
-// Cap returns the buffer capacity.
-func (q *Queue[T]) Cap() int { return cap(q.ch) }
-
 // Stats returns a snapshot of the counters.
 func (q *Queue[T]) Stats() Stats {
 	return Stats{
@@ -380,11 +289,4 @@ func (q *Queue[T]) Stats() Stats {
 		Sampled:  q.sampled.Load(),
 		Dequeued: q.dequeued.Load(),
 	}
-}
-
-// Fill returns the buffer occupancy in [0,1]. The paper's operational goal
-// is "to keep the buffer usage stable to avoid any loss"; monitoring uses
-// this.
-func (q *Queue[T]) Fill() float64 {
-	return float64(len(q.ch)) / float64(cap(q.ch))
 }

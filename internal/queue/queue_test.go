@@ -7,16 +7,41 @@ import (
 	"time"
 )
 
+// offer, put and take move one record through the batch API — a single
+// record is a one-element batch, as for every caller of the queue.
+func offer[T any](q *Queue[T], v T) bool { return q.OfferBatch([]T{v}) == 1 }
+
+func put[T any](q *Queue[T], v T) { q.PutBatch([]T{v}) }
+
+func take[T any](q *Queue[T]) (T, bool) {
+	b, ok := q.TakeBatch(nil, 1, 0)
+	if !ok {
+		var zero T
+		return zero, false
+	}
+	return b[0], true
+}
+
+// tryTake is take that returns at once on an empty queue; callers must be
+// the queue's only consumer.
+func tryTake[T any](q *Queue[T]) (T, bool) {
+	if q.Len() == 0 {
+		var zero T
+		return zero, false
+	}
+	return take(q)
+}
+
 func TestOfferTake(t *testing.T) {
 	q := New[int](4)
-	if !q.Offer(1) || !q.Offer(2) {
+	if !offer(q, 1) || !offer(q, 2) {
 		t.Fatal("Offer failed with space available")
 	}
-	v, ok := q.Take()
+	v, ok := take(q)
 	if !ok || v != 1 {
 		t.Fatalf("Take = %d,%v; want 1,true", v, ok)
 	}
-	v, ok = q.Take()
+	v, ok = take(q)
 	if !ok || v != 2 {
 		t.Fatalf("Take = %d,%v; want 2,true", v, ok)
 	}
@@ -24,27 +49,27 @@ func TestOfferTake(t *testing.T) {
 
 func TestOfferDropsWhenFull(t *testing.T) {
 	q := New[int](2)
-	q.Offer(1)
-	q.Offer(2)
-	if q.Offer(3) {
+	offer(q, 1)
+	offer(q, 2)
+	if offer(q, 3) {
 		t.Fatal("Offer succeeded on a full queue")
 	}
 	st := q.Stats()
 	if st.Enqueued != 2 || st.Dropped != 1 {
 		t.Fatalf("Stats = %+v; want Enqueued 2, Dropped 1", st)
 	}
-	if got := st.LossRate(); got != 1.0/3.0 {
-		t.Fatalf("LossRate = %v, want 1/3", got)
+	if st.Offered() != 3 || st.Lost() != 1 {
+		t.Fatalf("Offered/Lost = %d/%d, want 3/1", st.Offered(), st.Lost())
 	}
 }
 
 func TestTryTakeEmpty(t *testing.T) {
 	q := New[string](1)
-	if _, ok := q.TryTake(); ok {
+	if _, ok := tryTake(q); ok {
 		t.Fatal("TryTake on empty queue returned ok")
 	}
-	q.Offer("x")
-	v, ok := q.TryTake()
+	offer(q, "x")
+	v, ok := tryTake(q)
 	if !ok || v != "x" {
 		t.Fatalf("TryTake = %q,%v", v, ok)
 	}
@@ -53,17 +78,17 @@ func TestTryTakeEmpty(t *testing.T) {
 func TestCloseDrains(t *testing.T) {
 	q := New[int](8)
 	for i := 0; i < 5; i++ {
-		q.Offer(i)
+		offer(q, i)
 	}
 	q.Close()
 	q.Close() // idempotent
 	for i := 0; i < 5; i++ {
-		v, ok := q.Take()
+		v, ok := take(q)
 		if !ok || v != i {
 			t.Fatalf("drain %d: got %d,%v", i, v, ok)
 		}
 	}
-	if _, ok := q.Take(); ok {
+	if _, ok := take(q); ok {
 		t.Fatal("Take after drain returned ok")
 	}
 	if st := q.Stats(); st.Dequeued != 5 {
@@ -73,9 +98,9 @@ func TestCloseDrains(t *testing.T) {
 
 func TestOfferAfterCloseCountsDrop(t *testing.T) {
 	q := New[int](1)
-	q.Offer(1) // fill so the closed-channel send branch is not taken
+	offer(q, 1) // fill so the closed-channel send branch is not taken
 	q.Close()
-	if q.Offer(2) {
+	if offer(q, 2) {
 		t.Fatal("Offer after close on full queue accepted")
 	}
 	if st := q.Stats(); st.Dropped != 1 {
@@ -85,37 +110,37 @@ func TestOfferAfterCloseCountsDrop(t *testing.T) {
 
 func TestPutBlocksUntilSpace(t *testing.T) {
 	q := New[int](1)
-	q.Put(1)
+	put(q, 1)
 	done := make(chan struct{})
 	go func() {
-		q.Put(2) // blocks until Take below
+		put(q, 2) // blocks until Take below
 		close(done)
 	}()
-	if v, _ := q.Take(); v != 1 {
+	if v, _ := take(q); v != 1 {
 		t.Fatal("unexpected head")
 	}
 	<-done
-	if v, _ := q.Take(); v != 2 {
+	if v, _ := take(q); v != 2 {
 		t.Fatal("blocked Put value lost")
 	}
 }
 
 func TestCapacityClamp(t *testing.T) {
 	q := New[int](0)
-	if q.Cap() != 1 {
-		t.Fatalf("Cap = %d, want 1", q.Cap())
+	if got := cap(q.ch); got != 1 {
+		t.Fatalf("capacity = %d, want 1", got)
 	}
 }
 
 func TestFill(t *testing.T) {
 	q := New[int](4)
-	if q.Fill() != 0 {
-		t.Fatalf("empty Fill = %v", q.Fill())
+	if q.Len() != 0 {
+		t.Fatalf("empty Len = %d", q.Len())
 	}
-	q.Offer(1)
-	q.Offer(2)
-	if q.Fill() != 0.5 {
-		t.Fatalf("Fill = %v, want 0.5", q.Fill())
+	offer(q, 1)
+	offer(q, 2)
+	if q.Len() != 2 {
+		t.Fatalf("Len = %d, want 2", q.Len())
 	}
 }
 
@@ -129,7 +154,7 @@ func TestConcurrentProducersConsumers(t *testing.T) {
 		go func() {
 			defer consumed.Done()
 			for {
-				if _, ok := q.Take(); !ok {
+				if _, ok := take(q); !ok {
 					return
 				}
 				got.add(1)
@@ -141,7 +166,7 @@ func TestConcurrentProducersConsumers(t *testing.T) {
 		go func() {
 			defer produced.Done()
 			for i := 0; i < perProducer; i++ {
-				q.Put(i)
+				put(q, i)
 			}
 		}()
 	}
@@ -162,11 +187,11 @@ func TestConcurrentProducersConsumers(t *testing.T) {
 func TestQuickCounterInvariants(t *testing.T) {
 	f := func(ops []bool, capacity uint8) bool {
 		q := New[int]((int(capacity) % 8) + 1)
-		for i, offer := range ops {
-			if offer {
-				q.Offer(i)
+		for i, isOffer := range ops {
+			if isOffer {
+				offer(q, i)
 			} else {
-				q.TryTake()
+				tryTake(q)
 			}
 		}
 		st := q.Stats()
@@ -211,7 +236,7 @@ func TestOfferBatchAcceptsAndDrops(t *testing.T) {
 func TestTakeBatchDrainsAvailable(t *testing.T) {
 	q := New[int](16)
 	for i := 0; i < 5; i++ {
-		q.Put(i)
+		put(q, i)
 	}
 	buf, ok := q.TakeBatch(nil, 3, 0)
 	if !ok || len(buf) != 3 || buf[0] != 0 || buf[2] != 2 {
@@ -235,7 +260,7 @@ func TestTakeBatchBlocksForFirst(t *testing.T) {
 		done <- buf
 	}()
 	time.Sleep(10 * time.Millisecond) // consumer is parked on an empty queue
-	q.Put(42)
+	put(q, 42)
 	select {
 	case buf := <-done:
 		if len(buf) != 1 || buf[0] != 42 {
@@ -248,10 +273,10 @@ func TestTakeBatchBlocksForFirst(t *testing.T) {
 
 func TestTakeBatchWaitGathersStragglers(t *testing.T) {
 	q := New[int](16)
-	q.Put(1)
+	put(q, 1)
 	go func() {
 		time.Sleep(5 * time.Millisecond)
-		q.Put(2)
+		put(q, 2)
 	}()
 	// With a generous wait the late second record joins the batch.
 	buf, ok := q.TakeBatch(nil, 2, time.Second)
@@ -262,7 +287,7 @@ func TestTakeBatchWaitGathersStragglers(t *testing.T) {
 
 func TestTakeBatchWaitBounded(t *testing.T) {
 	q := New[int](16)
-	q.Put(1)
+	put(q, 1)
 	start := time.Now()
 	buf, ok := q.TakeBatch(nil, 8, 20*time.Millisecond)
 	if !ok || len(buf) != 1 {
@@ -275,7 +300,7 @@ func TestTakeBatchWaitBounded(t *testing.T) {
 
 func TestTakeBatchClosedQueue(t *testing.T) {
 	q := New[int](4)
-	q.Put(1)
+	put(q, 1)
 	q.Close()
 	buf, ok := q.TakeBatch(nil, 4, 0)
 	if !ok || len(buf) != 1 {
@@ -298,9 +323,11 @@ func (a *atomic64) load() int { a.mu.Lock(); defer a.mu.Unlock(); return a.n }
 func BenchmarkOfferTake(b *testing.B) {
 	q := New[int](1024)
 	b.RunParallel(func(pb *testing.PB) {
+		// A goroutine takes only after its own offer was accepted, so the
+		// blocking take always finds a record.
 		for pb.Next() {
-			if q.Offer(1) {
-				q.TryTake()
+			if offer(q, 1) {
+				take(q)
 			}
 		}
 	})
@@ -317,12 +344,12 @@ func TestPutBatchBlocksUntilSpace(t *testing.T) {
 	}
 	// Drain two; the blocked producer finishes.
 	for i := 0; i < 2; i++ {
-		if _, ok := q.Take(); !ok {
+		if _, ok := take(q); !ok {
 			t.Fatal("take failed")
 		}
 	}
 	for i := 0; i < 2; i++ {
-		if v, ok := q.Take(); !ok || v != i+3 {
+		if v, ok := take(q); !ok || v != i+3 {
 			t.Fatalf("take = %d, %v", v, ok)
 		}
 	}

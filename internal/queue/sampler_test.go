@@ -8,11 +8,11 @@ import (
 
 func TestSamplerDisabledByDefault(t *testing.T) {
 	q := New[int](4)
-	if q.Sampler().Enabled() {
+	if q.sampler.Enabled() {
 		t.Fatal("zero SamplerConfig reports Enabled")
 	}
 	for i := 0; i < 4; i++ {
-		if !q.Offer(i) {
+		if !offer(q, i) {
 			t.Fatalf("Offer(%d) failed with space available", i)
 		}
 	}
@@ -59,9 +59,9 @@ func TestSamplerDeterministicProportion(t *testing.T) {
 		q := New[int](4)
 		q.SetSampler(SamplerConfig{LowWater: 0.1, HighWater: 0.2, MaxShed: 0.25})
 		// Pin the queue above HighWater so the rate is constant MaxShed.
-		q.Offer(0)
-		q.Offer(0)
-		q.Offer(0)
+		offer(q, 0)
+		offer(q, 0)
+		offer(q, 0)
 		start := q.Stats()
 		vs := make([]int, batch)
 		offered := 0
@@ -88,9 +88,9 @@ func TestSamplerDeterministicProportion(t *testing.T) {
 func TestSampledCountsAsAccepted(t *testing.T) {
 	q := New[int](2)
 	q.SetSampler(SamplerConfig{LowWater: 0, HighWater: 0, MaxShed: 1})
-	q.Offer(1) // fill > 0 after this; MaxShed=1 with degenerate watermarks sheds everything above fill 0
+	offer(q, 1) // fill > 0 after this; MaxShed=1 with degenerate watermarks sheds everything above fill 0
 	for i := 0; i < 10; i++ {
-		if !q.Offer(i) {
+		if !offer(q, i) {
 			t.Fatalf("Offer(%d) = false for a sampled record; want true", i)
 		}
 	}
@@ -146,7 +146,7 @@ func TestSamplerInvariantConcurrent(t *testing.T) {
 			for i := 0; i < perProducer; i++ {
 				switch i % 3 {
 				case 0:
-					q.Offer(i)
+					offer(q, i)
 				case 1:
 					q.OfferBatch(vs)
 				default:
@@ -185,7 +185,7 @@ func TestSamplerBelowLowWaterShedsNothing(t *testing.T) {
 	q := New[int](100)
 	q.SetSampler(SamplerConfig{LowWater: 0.5, HighWater: 0.9, MaxShed: 1})
 	for i := 0; i < 40; i++ { // stays below the 50-record low watermark
-		if !q.Offer(i) {
+		if !offer(q, i) {
 			t.Fatalf("Offer(%d) failed below LowWater", i)
 		}
 	}

@@ -9,7 +9,10 @@
 // substrate: the well-known anycast resolvers plus room for additions.
 package resolvers
 
-import "net/netip"
+import (
+	"net/netip"
+	"slices"
+)
 
 // wellKnown are the anycast public resolvers the paper names (Cloudflare,
 // Google Public DNS, Quad9) plus other major public services.
@@ -51,9 +54,6 @@ func NewSet() *Set {
 	return s
 }
 
-// EmptySet returns a set with no entries, for tests and custom lists.
-func EmptySet() *Set { return &Set{m: make(map[netip.Addr]struct{})} }
-
 // Add inserts an address (4-in-6 mapped forms normalize to IPv4).
 func (s *Set) Add(a netip.Addr) { s.m[a.Unmap()] = struct{}{} }
 
@@ -67,11 +67,13 @@ func (s *Set) Contains(a netip.Addr) bool {
 // Len returns the set size.
 func (s *Set) Len() int { return len(s.m) }
 
-// Addrs returns the members in unspecified order.
+// Addrs returns the members in ascending address order, so callers that
+// draw from the list (the workload generator) are reproducible for a seed.
 func (s *Set) Addrs() []netip.Addr {
 	out := make([]netip.Addr, 0, len(s.m))
 	for a := range s.m {
 		out = append(out, a)
 	}
+	slices.SortFunc(out, netip.Addr.Compare)
 	return out
 }

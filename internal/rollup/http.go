@@ -13,19 +13,13 @@ type snapshotResponse struct {
 	Windows    []jsonWindow `json:"windows"`
 }
 
-// Handler serves the engine's live windows as a JSON document — the
-// operator's /rollups inspection endpoint. See SnapshotHandler for the
-// drain-aware variant the daemon mounts.
-func Handler(r *Rollup) http.Handler {
-	return SnapshotHandler(r, nil)
-}
-
-// SnapshotHandler serves the engine's live windows as a JSON document.
-// Snapshots merge the per-shard partials without consuming them, so polling
+// SnapshotHandler serves the engine's live windows as a JSON document — the
+// operator's /rollups inspection endpoint. Snapshots merge the per-shard partials without consuming them, so polling
 // never perturbs the counters the sealing path will export. The response is
 // a point-in-time view of mutating state, so it is marked uncacheable; once
 // draining reports true the handler answers 503 instead of racing the
-// sealing path for counters that are being flushed out from under it.
+// sealing path for counters that are being flushed out from under it (a
+// nil draining never drains).
 func SnapshotHandler(r *Rollup, draining func() bool) http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, req *http.Request) {
 		if req.Method != http.MethodGet {

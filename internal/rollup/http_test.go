@@ -17,7 +17,7 @@ func TestHandlerSnapshot(t *testing.T) {
 	eng.Observe(1, t0, Key{Service: "bad.example", Category: dbl.Spam}, 9, 1)
 
 	rec := httptest.NewRecorder()
-	Handler(eng).ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/rollups", nil))
+	SnapshotHandler(eng, nil).ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/rollups", nil))
 	if rec.Code != http.StatusOK {
 		t.Fatalf("status = %d", rec.Code)
 	}
@@ -64,7 +64,7 @@ func TestHandlerSnapshot(t *testing.T) {
 
 	// Snapshots must not consume: a second GET sees the same state.
 	rec2 := httptest.NewRecorder()
-	Handler(eng).ServeHTTP(rec2, httptest.NewRequest(http.MethodGet, "/rollups", nil))
+	SnapshotHandler(eng, nil).ServeHTTP(rec2, httptest.NewRequest(http.MethodGet, "/rollups", nil))
 	if rec2.Body.String() != rec.Body.String() {
 		t.Fatal("second snapshot differs (handler consumed state)")
 	}
@@ -72,7 +72,7 @@ func TestHandlerSnapshot(t *testing.T) {
 
 func TestHandlerMethodNotAllowed(t *testing.T) {
 	rec := httptest.NewRecorder()
-	Handler(New(time.Minute, 1)).ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/rollups", nil))
+	SnapshotHandler(New(time.Minute, 1), nil).ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/rollups", nil))
 	if rec.Code != http.StatusMethodNotAllowed {
 		t.Fatalf("status = %d", rec.Code)
 	}

@@ -86,15 +86,6 @@ type Window struct {
 	Rows  []Row
 }
 
-// Total sums the window's counters across all keys.
-func (w *Window) Total() Counters {
-	var t Counters
-	for i := range w.Rows {
-		t.add(w.Rows[i].Counters)
-	}
-	return t
-}
-
 // sortRows orders rows canonically.
 func sortRows(rows []Row) {
 	sort.Slice(rows, func(i, j int) bool {

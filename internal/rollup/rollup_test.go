@@ -235,3 +235,12 @@ func TestMergeAll(t *testing.T) {
 		t.Fatalf("MergeAll(nil) = %+v, want zero window", z)
 	}
 }
+
+// Total sums the window's counters across all keys.
+func (w *Window) Total() Counters {
+	var t Counters
+	for i := range w.Rows {
+		t.add(w.Rows[i].Counters)
+	}
+	return t
+}

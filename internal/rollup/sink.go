@@ -166,9 +166,6 @@ func NewSink(r *Rollup, opts ...SinkOption) *Sink {
 	return s
 }
 
-// Engine returns the underlying counter engine.
-func (s *Sink) Engine() *Rollup { return s.r }
-
 // WriteBatch attributes and observes every record. The whole batch lands
 // on one engine shard, claimed round-robin and locked once — concurrent
 // Write workers never touch the same shard, so the longer critical

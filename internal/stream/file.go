@@ -170,20 +170,21 @@ func ReadFlowFile(r io.Reader) ([]netflow.FlowRecord, error) {
 }
 
 // MergeByTime interleaves a DNS capture and a flow capture into a single
-// timestamp-ordered replay plan: the returned apply function invokes
-// ingest/correlate callbacks in record-clock order. Both inputs must be
+// timestamp-ordered replay: it invokes the ingest/correlate callbacks in
+// record-clock order, one record at a time as a one-element batch (a
+// subslice of the input, so no record is copied). Both inputs must be
 // individually time-sorted (captures written live always are).
 func MergeByTime(dns []DNSRecord, flows []netflow.FlowRecord,
-	onDNS func(DNSRecord), onFlow func(netflow.FlowRecord)) {
+	onDNS func([]DNSRecord), onFlow func([]netflow.FlowRecord)) {
 	i, j := 0, 0
 	for i < len(dns) || j < len(flows) {
 		takeDNS := j >= len(flows) ||
 			(i < len(dns) && !dns[i].Timestamp.After(flows[j].Timestamp))
 		if takeDNS {
-			onDNS(dns[i])
+			onDNS(dns[i : i+1])
 			i++
 		} else {
-			onFlow(flows[j])
+			onFlow(flows[j : j+1])
 			j++
 		}
 	}

@@ -136,8 +136,8 @@ func TestMergeByTime(t *testing.T) {
 	}
 	var order []string
 	MergeByTime(dns, flows,
-		func(r DNSRecord) { order = append(order, "dns:"+r.Query) },
-		func(f netflow.FlowRecord) { order = append(order, "flow") })
+		func(r []DNSRecord) { order = append(order, "dns:"+r[0].Query) },
+		func(f []netflow.FlowRecord) { order = append(order, "flow") })
 	want := []string{"dns:d0", "flow", "dns:d2", "flow"}
 	if strings.Join(order, ",") != strings.Join(want, ",") {
 		t.Fatalf("order = %v", order)
@@ -150,8 +150,8 @@ func TestMergeByTimeTieGoesToDNS(t *testing.T) {
 	MergeByTime(
 		[]DNSRecord{{Timestamp: base, Query: "d"}},
 		[]netflow.FlowRecord{{Timestamp: base}},
-		func(DNSRecord) { order = append(order, "dns") },
-		func(netflow.FlowRecord) { order = append(order, "flow") })
+		func([]DNSRecord) { order = append(order, "dns") },
+		func([]netflow.FlowRecord) { order = append(order, "flow") })
 	// The fill must precede the lookup at equal timestamps, as in the live
 	// system where resolution precedes traffic.
 	if order[0] != "dns" {
@@ -162,8 +162,8 @@ func TestMergeByTimeTieGoesToDNS(t *testing.T) {
 func TestMergeByTimeEmptyInputs(t *testing.T) {
 	calls := 0
 	MergeByTime(nil, nil,
-		func(DNSRecord) { calls++ },
-		func(netflow.FlowRecord) { calls++ })
+		func([]DNSRecord) { calls++ },
+		func([]netflow.FlowRecord) { calls++ })
 	if calls != 0 {
 		t.Fatal("callbacks on empty inputs")
 	}

@@ -2,7 +2,9 @@ package stream
 
 import (
 	"bytes"
+	"encoding/binary"
 	"io"
+	"net/netip"
 	"testing"
 
 	"repro/internal/netflow"
@@ -81,31 +83,45 @@ type countIngest struct {
 	records int
 }
 
-func (c *countIngest) OfferDNS(DNSRecord) bool           { return true }
-func (c *countIngest) OfferDNSBatch(r []DNSRecord) int   { c.records += len(r); return len(r) }
-func (c *countIngest) OfferFlow(netflow.FlowRecord) bool { return true }
+func (c *countIngest) OfferDNSBatch(r []DNSRecord) int { c.records += len(r); return len(r) }
 func (c *countIngest) OfferFlowBatch(frs []netflow.FlowRecord) int {
 	c.records += len(frs)
 	return len(frs)
 }
 
-func v5Datagram(t testing.TB, n int) []byte {
-	t.Helper()
-	recs := make([]netflow.V5Record, n)
-	for i := range recs {
-		recs[i] = netflow.V5Record{
-			SrcAddr: [4]byte{10, 0, 0, byte(i)},
-			DstAddr: [4]byte{10, 1, 0, byte(i)},
-			Packets: 1, Octets: uint32(100 + i), Proto: 6,
-		}
-	}
-	pkt, err := netflow.EncodeV5(netflow.V5Header{
-		UnixSecs: uint32(testTime().Unix()),
-	}, recs)
-	if err != nil {
-		t.Fatal(err)
+// v5Packet builds a NetFlow v5 export datagram carrying frs (IPv4, at
+// most 30) stamped with the export second unixSecs; it sets only the
+// fields the collector reads.
+func v5Packet(unixSecs uint32, frs []netflow.FlowRecord) []byte {
+	pkt := make([]byte, 24+48*len(frs))
+	binary.BigEndian.PutUint16(pkt[0:], 5)
+	binary.BigEndian.PutUint16(pkt[2:], uint16(len(frs)))
+	binary.BigEndian.PutUint32(pkt[8:], unixSecs)
+	for i := range frs {
+		fr, r := &frs[i], pkt[24+48*i:]
+		src, dst := fr.SrcIP.As4(), fr.DstIP.As4()
+		copy(r[0:4], src[:])
+		copy(r[4:8], dst[:])
+		binary.BigEndian.PutUint32(r[16:], uint32(fr.Packets))
+		binary.BigEndian.PutUint32(r[20:], uint32(fr.Bytes))
+		binary.BigEndian.PutUint16(r[32:], fr.SrcPort)
+		binary.BigEndian.PutUint16(r[34:], fr.DstPort)
+		r[38] = fr.Proto
 	}
 	return pkt
+}
+
+func v5Datagram(t testing.TB, n int) []byte {
+	t.Helper()
+	frs := make([]netflow.FlowRecord, n)
+	for i := range frs {
+		frs[i] = netflow.FlowRecord{
+			SrcIP:   netip.AddrFrom4([4]byte{10, 0, 0, byte(i)}),
+			DstIP:   netip.AddrFrom4([4]byte{10, 1, 0, byte(i)}),
+			Packets: 1, Bytes: uint64(100 + i), Proto: 6,
+		}
+	}
+	return v5Packet(uint32(testTime().Unix()), frs)
 }
 
 // The v5 ingest path must reuse the per-source scratch slices: after the
@@ -128,43 +144,5 @@ func TestFlowUDPSourceV5IngestAllocFree(t *testing.T) {
 	}
 	if st := src.Stats(); st.DecodeError != 0 {
 		t.Fatalf("decode errors = %d", st.DecodeError)
-	}
-}
-
-// DecodeV5Into must reuse the destination slice's capacity and return
-// identical records to the allocating form.
-func TestDecodeV5IntoReuse(t *testing.T) {
-	pkt := v5Datagram(t, 30)
-	_, fresh, err := netflow.DecodeV5(pkt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	scratch := make([]netflow.V5Record, 0, 30)
-	_, reused, err := netflow.DecodeV5Into(pkt, scratch)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(reused) != len(fresh) {
-		t.Fatalf("records = %d, want %d", len(reused), len(fresh))
-	}
-	for i := range fresh {
-		if fresh[i] != reused[i] {
-			t.Fatalf("record %d differs: %+v vs %+v", i, fresh[i], reused[i])
-		}
-	}
-	if &reused[0] != &scratch[:1][0] {
-		t.Fatal("DecodeV5Into did not reuse the destination backing array")
-	}
-	allocs := testing.AllocsPerRun(100, func() {
-		if _, scratch, err = netflow.DecodeV5Into(pkt, scratch[:0]); err != nil {
-			t.Fatal(err)
-		}
-	})
-	if allocs != 0 {
-		t.Fatalf("DecodeV5Into allocs = %v, want 0", allocs)
-	}
-	// Errors return the truncated destination, never partial records.
-	if _, out, err := netflow.DecodeV5Into(pkt[:10], scratch); err == nil || len(out) != 0 {
-		t.Fatalf("short packet: err=%v len=%d", err, len(out))
 	}
 }

@@ -14,18 +14,14 @@ import (
 )
 
 // Ingest is the stable façade through which sources feed the correlator.
-// Offers never block: a false return (or a short batch count) means the
-// stage buffer overflowed and the records were dropped — the paper's
-// stream-buffer loss. The correlator implements Ingest; sources never see
-// its internal queues.
+// Offers are batches (a single record is a one-element batch) and never
+// block: a short count means the stage buffer overflowed and the remaining
+// records were dropped — the paper's stream-buffer loss. The correlator
+// implements Ingest; sources never see its internal queues.
 type Ingest interface {
-	// OfferDNS places one DNS record on the FillUp stage.
-	OfferDNS(rec DNSRecord) bool
 	// OfferDNSBatch places a batch of DNS records on the FillUp stage and
 	// returns how many were accepted.
 	OfferDNSBatch(recs []DNSRecord) int
-	// OfferFlow places one flow record on the LookUp stage.
-	OfferFlow(fr netflow.FlowRecord) bool
 	// OfferFlowBatch places a batch of flow records on the LookUp stage and
 	// returns how many were accepted.
 	OfferFlowBatch(frs []netflow.FlowRecord) int
@@ -113,9 +109,6 @@ type DNSListener struct {
 // NewDNSListener wraps ln.
 func NewDNSListener(ln net.Listener) *DNSListener { return &DNSListener{ln: ln} }
 
-// Addr returns the listen address.
-func (l *DNSListener) Addr() net.Addr { return l.ln.Addr() }
-
 // Run accepts until ctx is cancelled or the listener fails. Per-connection
 // read errors are not fatal to the listener; they end that stream only
 // and are reported through OnStreamError. Run owns the listener and every
@@ -155,82 +148,3 @@ func (l *DNSListener) Run(ctx context.Context, in Ingest) error {
 
 // Stats aggregates counters across every connection accepted so far.
 func (l *DNSListener) Stats() SourceStats { return l.counts.snapshot() }
-
-// DNSFileSource replays a DNS capture file (the TSV format of
-// DNSFileWriter) through the ingest façade in record order.
-type DNSFileSource struct {
-	r io.Reader
-	// BatchSize bounds the per-offer batch (default 256).
-	BatchSize int
-	counts    sourceCounters
-}
-
-// NewDNSFileSource wraps r.
-func NewDNSFileSource(r io.Reader) *DNSFileSource { return &DNSFileSource{r: r} }
-
-// Run parses the capture and offers it in batches, checking ctx between
-// batches. A malformed capture is a source error.
-func (s *DNSFileSource) Run(ctx context.Context, in Ingest) error {
-	recs, err := ReadDNSFile(s.r)
-	if err != nil {
-		return err
-	}
-	bs := s.BatchSize
-	if bs <= 0 {
-		bs = 256
-	}
-	for len(recs) > 0 {
-		if ctx.Err() != nil {
-			return nil
-		}
-		n := min(bs, len(recs))
-		batch := recs[:n]
-		accepted := in.OfferDNSBatch(batch)
-		s.counts.records.Add(uint64(n))
-		s.counts.dropped.Add(uint64(n - accepted))
-		recs = recs[n:]
-	}
-	return nil
-}
-
-// Stats snapshots the source counters.
-func (s *DNSFileSource) Stats() SourceStats { return s.counts.snapshot() }
-
-// FlowFileSource replays a flow capture file (the TSV format of
-// FlowFileWriter) through the ingest façade in record order.
-type FlowFileSource struct {
-	r io.Reader
-	// BatchSize bounds the per-offer batch (default 256).
-	BatchSize int
-	counts    sourceCounters
-}
-
-// NewFlowFileSource wraps r.
-func NewFlowFileSource(r io.Reader) *FlowFileSource { return &FlowFileSource{r: r} }
-
-// Run parses the capture and offers it in batches, checking ctx between
-// batches.
-func (s *FlowFileSource) Run(ctx context.Context, in Ingest) error {
-	frs, err := ReadFlowFile(s.r)
-	if err != nil {
-		return err
-	}
-	bs := s.BatchSize
-	if bs <= 0 {
-		bs = 256
-	}
-	for len(frs) > 0 {
-		if ctx.Err() != nil {
-			return nil
-		}
-		n := min(bs, len(frs))
-		accepted := in.OfferFlowBatch(frs[:n])
-		s.counts.records.Add(uint64(n))
-		s.counts.dropped.Add(uint64(n - accepted))
-		frs = frs[n:]
-	}
-	return nil
-}
-
-// Stats snapshots the source counters.
-func (s *FlowFileSource) Stats() SourceStats { return s.counts.snapshot() }

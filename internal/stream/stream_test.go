@@ -3,6 +3,8 @@ package stream
 import (
 	"bytes"
 	"context"
+	"encoding/hex"
+	"errors"
 	"net"
 	"net/netip"
 	"strings"
@@ -11,7 +13,6 @@ import (
 	"time"
 
 	"repro/internal/dnswire"
-	"repro/internal/ipfix"
 	"repro/internal/netflow"
 	"repro/internal/queue"
 )
@@ -29,9 +30,17 @@ func newTestIngest(dnsCap, flowCap int) *testIngest {
 	return &testIngest{dns: queue.New[DNSRecord](dnsCap), flow: queue.New[netflow.FlowRecord](flowCap)}
 }
 
-func (t *testIngest) OfferDNS(rec DNSRecord) bool          { return t.dns.Offer(rec) }
-func (t *testIngest) OfferDNSBatch(recs []DNSRecord) int   { return t.dns.OfferBatch(recs) }
-func (t *testIngest) OfferFlow(fr netflow.FlowRecord) bool { return t.flow.Offer(fr) }
+// take dequeues the next record, blocking until one is available.
+func take[T any](q *queue.Queue[T]) (T, bool) {
+	b, ok := q.TakeBatch(nil, 1, 0)
+	if !ok {
+		var zero T
+		return zero, false
+	}
+	return b[0], true
+}
+
+func (t *testIngest) OfferDNSBatch(recs []DNSRecord) int { return t.dns.OfferBatch(recs) }
 func (t *testIngest) OfferFlowBatch(frs []netflow.FlowRecord) int {
 	return t.flow.OfferBatch(frs)
 }
@@ -53,7 +62,7 @@ func responseAB(t *testing.T) *dnswire.Message {
 }
 
 func TestFlattenResponse(t *testing.T) {
-	recs := FlattenResponse(responseAB(t), testTime())
+	recs := FlattenResponseInto(nil, responseAB(t), testTime())
 	if len(recs) != 2 {
 		t.Fatalf("records = %d", len(recs))
 	}
@@ -79,15 +88,15 @@ func TestFlattenResponse(t *testing.T) {
 func TestFlattenSkipsNonResponses(t *testing.T) {
 	m := responseAB(t)
 	m.Header.Response = false
-	if got := FlattenResponse(m, testTime()); got != nil {
+	if got := FlattenResponseInto(nil, m, testTime()); len(got) != 0 {
 		t.Fatalf("query flattened: %v", got)
 	}
 	m.Header.Response = true
 	m.Header.RCode = dnswire.RCodeNXDomain
-	if got := FlattenResponse(m, testTime()); got != nil {
+	if got := FlattenResponseInto(nil, m, testTime()); len(got) != 0 {
 		t.Fatalf("NXDOMAIN flattened: %v", got)
 	}
-	if FlattenResponse(nil, testTime()) != nil {
+	if len(FlattenResponseInto(nil, nil, testTime())) != 0 {
 		t.Fatal("nil message flattened")
 	}
 }
@@ -102,7 +111,7 @@ func TestFlattenSkipsOtherTypes(t *testing.T) {
 				Addr: netip.MustParseAddr("192.0.2.1")},
 		},
 	}
-	recs := FlattenResponse(m, testTime())
+	recs := FlattenResponseInto(nil, m, testTime())
 	if len(recs) != 1 || recs[0].RType != dnswire.TypeA {
 		t.Fatalf("recs = %+v", recs)
 	}
@@ -160,6 +169,33 @@ func TestReadFrameShort(t *testing.T) {
 	}
 }
 
+// A message whose name has a label longer than DNS allows (the generator's
+// malformed-domain population emits 70-byte labels) cannot be encoded: Send
+// reports dnswire.ErrLabelTooLong and writes no frame, so the stream stays
+// in sync and the next message goes out intact.
+func TestDNSTCPSinkUnencodableWritesNothing(t *testing.T) {
+	var buf bytes.Buffer
+	sink := NewDNSTCPSink(&buf)
+	bad := responseAB(t)
+	bad.Answers[0].Name = strings.Repeat("x", 70) + ".example"
+	if err := sink.Send(bad); !errors.Is(err, dnswire.ErrLabelTooLong) {
+		t.Fatalf("Send = %v, want ErrLabelTooLong", err)
+	}
+	if buf.Len() != 0 {
+		t.Fatalf("unencodable message wrote %d bytes", buf.Len())
+	}
+	if err := sink.Send(responseAB(t)); err != nil {
+		t.Fatal(err)
+	}
+	frame, err := ReadFrame(&buf, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := dnswire.Decode(frame); err != nil {
+		t.Fatalf("frame after the rejected message: %v", err)
+	}
+}
+
 func TestDNSTCPEndToEnd(t *testing.T) {
 	client, server := net.Pipe()
 	in := newTestIngest(64, 64)
@@ -186,7 +222,7 @@ func TestDNSTCPEndToEnd(t *testing.T) {
 	if in.dns.Len() != 2*n {
 		t.Fatalf("queued = %d, want %d", in.dns.Len(), 2*n)
 	}
-	rec, _ := in.dns.Take()
+	rec, _ := take(in.dns)
 	if rec.Timestamp != testTime() {
 		t.Fatalf("clock not applied: %v", rec.Timestamp)
 	}
@@ -263,12 +299,8 @@ func TestFlowUDPIngestV5AndV9(t *testing.T) {
 	in := newTestIngest(64, 64)
 	src := &FlowUDPSource{cache: netflow.NewTemplateCache()}
 
-	v5recs := []netflow.V5Record{{SrcAddr: [4]byte{10, 0, 0, 1}, DstAddr: [4]byte{10, 0, 0, 2},
-		Packets: 1, Octets: 100, Proto: netflow.ProtoTCP}}
-	pkt5, err := netflow.EncodeV5(netflow.V5Header{UnixSecs: 1653475200}, v5recs)
-	if err != nil {
-		t.Fatal(err)
-	}
+	pkt5 := v5Packet(1653475200, []netflow.FlowRecord{{SrcIP: netip.MustParseAddr("10.0.0.1"),
+		DstIP: netip.MustParseAddr("10.0.0.2"), Packets: 1, Bytes: 100, Proto: netflow.ProtoTCP}})
 	src.ingest(pkt5, in)
 
 	fr := netflow.FlowRecord{
@@ -295,11 +327,11 @@ func TestFlowUDPIngestV5AndV9(t *testing.T) {
 	if st.DecodeError != 3 {
 		t.Fatalf("decode errors = %d", st.DecodeError)
 	}
-	r1, _ := in.flow.Take()
+	r1, _ := take(in.flow)
 	if r1.SrcIP != netip.MustParseAddr("10.0.0.1") || r1.Bytes != 100 {
 		t.Fatalf("v5 record = %+v", r1)
 	}
-	r2, _ := in.flow.Take()
+	r2, _ := take(in.flow)
 	if r2.SrcIP != fr.SrcIP || r2.Bytes != fr.Bytes {
 		t.Fatalf("v9 record = %+v", r2)
 	}
@@ -340,8 +372,9 @@ func TestFlowUDPEndToEnd(t *testing.T) {
 	}
 	deadline := time.After(5 * time.Second)
 	for got := 0; got < n; {
-		if _, ok := in.flow.TryTake(); ok {
+		if in.flow.Len() > 0 {
 			got++
+			take(in.flow)
 			continue
 		}
 		select {
@@ -409,47 +442,6 @@ func TestDNSListenerMultipleStreams(t *testing.T) {
 	}
 }
 
-func TestFileSources(t *testing.T) {
-	var dnsBuf, flowBuf bytes.Buffer
-	dw := NewDNSFileWriter(&dnsBuf)
-	for i := 0; i < 3; i++ {
-		if err := dw.Write(DNSRecord{Timestamp: testTime(), Query: "q.example",
-			RType: dnswire.TypeA, TTL: 60, Answer: "192.0.2.1"}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	dw.Flush()
-	fw := NewFlowFileWriter(&flowBuf)
-	for i := 0; i < 4; i++ {
-		if err := fw.Write(netflow.FlowRecord{Timestamp: testTime(),
-			SrcIP: netip.MustParseAddr("192.0.2.1"), DstIP: netip.MustParseAddr("10.0.0.1"),
-			Packets: 1, Bytes: 100, Proto: netflow.ProtoTCP}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	fw.Flush()
-
-	in := newTestIngest(16, 16)
-	ds := NewDNSFileSource(&dnsBuf)
-	if err := ds.Run(context.Background(), in); err != nil {
-		t.Fatal(err)
-	}
-	if in.dns.Len() != 3 || ds.Stats().Records != 3 {
-		t.Fatalf("dns file source: queued=%d stats=%+v", in.dns.Len(), ds.Stats())
-	}
-	fs := NewFlowFileSource(&flowBuf)
-	if err := fs.Run(context.Background(), in); err != nil {
-		t.Fatal(err)
-	}
-	if in.flow.Len() != 4 || fs.Stats().Records != 4 {
-		t.Fatalf("flow file source: queued=%d stats=%+v", in.flow.Len(), fs.Stats())
-	}
-	// A malformed capture is a source error.
-	if err := NewDNSFileSource(strings.NewReader("not\ta\tcapture\n")).Run(context.Background(), in); err == nil {
-		t.Fatal("malformed capture accepted")
-	}
-}
-
 func TestFlowUDPIngestIPFIX(t *testing.T) {
 	in := newTestIngest(16, 16)
 	src := NewFlowUDPSource(nil)
@@ -460,8 +452,14 @@ func TestFlowUDPIngestIPFIX(t *testing.T) {
 		SrcPort:   443, DstPort: 55555, Proto: netflow.ProtoTCP,
 		Packets: 7, Bytes: 4096,
 	}
-	pkt, err := ipfix.Encode(ipfix.Header{DomainID: 4, ExportTime: 1653475200},
-		ipfix.StandardTemplate(), []netflow.FlowRecord{fr})
+	// fr as an IPFIX exporter sends it: the message header, a template
+	// set announcing template 256 (IPv4 src/dst, ports, protocol, packet
+	// and octet counts, flowStartMilliseconds), and one data record.
+	pkt, err := hex.DecodeString("000a0061628e07800000000000000004" +
+		"0002002801000008" + "00080004000c000400070002000b0002" +
+		"00040001000200080001000800980008" +
+		"01000029" + "c633644dcb00710301bbd90306" +
+		"0000000000000007000000000000100000000180facd4fe7")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -470,17 +468,12 @@ func TestFlowUDPIngestIPFIX(t *testing.T) {
 	if st.Records != 1 || st.DecodeError != 0 {
 		t.Fatalf("stats = %+v", st)
 	}
-	got, _ := in.flow.Take()
+	got, _ := take(in.flow)
 	if got.SrcIP != fr.SrcIP || got.Bytes != fr.Bytes || !got.Timestamp.Equal(fr.Timestamp) {
 		t.Fatalf("ipfix record = %+v", got)
 	}
-	// A second data-only message must resolve via the cached template.
-	pkt2, err := ipfix.Encode(ipfix.Header{DomainID: 4}, ipfix.StandardTemplate(),
-		[]netflow.FlowRecord{fr})
-	if err != nil {
-		t.Fatal(err)
-	}
-	src.ingest(pkt2, in)
+	// A repeated message re-announces the cached template and decodes again.
+	src.ingest(pkt, in)
 	if st := src.Stats(); st.Records != 2 {
 		t.Fatalf("cached ipfix decode failed: %+v", st)
 	}

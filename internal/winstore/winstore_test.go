@@ -141,10 +141,11 @@ func TestStoreRestartKeepsValidatedPrefix(t *testing.T) {
 func windowsTotal(ws []rollup.Window) rollup.Counters {
 	var t rollup.Counters
 	for i := range ws {
-		agg := ws[i].Total()
-		t.Bytes += agg.Bytes
-		t.Packets += agg.Packets
-		t.Flows += agg.Flows
+		for _, r := range ws[i].Rows {
+			t.Bytes += r.Bytes
+			t.Packets += r.Packets
+			t.Flows += r.Flows
+		}
 	}
 	return t
 }

@@ -56,7 +56,7 @@ func TestUniversePopulation(t *testing.T) {
 		}
 		if s.Malformed {
 			malformed++
-			if dnsname.Valid(s.Name) {
+			if dnsname.Check(s.Name) == dnsname.OK {
 				t.Errorf("malformed service has valid name %q", s.Name)
 			}
 		}
@@ -478,12 +478,10 @@ type countIngest struct {
 	dns, flows int
 }
 
-func (c *countIngest) OfferDNS(stream.DNSRecord) bool { c.dns++; return true }
 func (c *countIngest) OfferDNSBatch(recs []stream.DNSRecord) int {
 	c.dns += len(recs)
 	return len(recs)
 }
-func (c *countIngest) OfferFlow(netflow.FlowRecord) bool { c.flows++; return true }
 func (c *countIngest) OfferFlowBatch(frs []netflow.FlowRecord) int {
 	c.flows += len(frs)
 	return len(frs)

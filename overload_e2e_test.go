@@ -218,7 +218,7 @@ func TestOverloadSoak(t *testing.T) {
 		t.Fatal(err)
 	}
 	cfg := undersizedConfig()
-	sink := core.NewCountingSink()
+	sink := newFlowCounter()
 	src := stream.NewFlowUDPSource(nfConn)
 	c := core.New(cfg, core.WithSink(sink), core.WithSources(src))
 	ctx, cancel := context.WithCancel(context.Background())

@@ -119,7 +119,7 @@ func TestQueryPlaneEndToEnd(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	counting := core.NewCountingSink()
+	counting := newFlowCounter()
 	// Short 10s windows over a ~20s flow span: several seals, two
 	// store partitions.
 	engine := rollup.New(10*time.Second, 8)
