@@ -196,7 +196,7 @@ func BenchmarkSinkWrite(b *testing.B) {
 // v2 batched write path: offered records per second from ingest façade to
 // sink across all stages. Destinations are spread so the flows partition
 // across every correlation lane, and the offer loop applies backpressure
-// per lane — a lane holds only its share of LookQueueCap — so the run
+// per lane — a lane holds only its share of QueueCap — so the run
 // must end with zero drops.
 func BenchmarkPipelineBatchedWrites(b *testing.B) {
 	const services = 512
@@ -235,7 +235,7 @@ func BenchmarkPipelineBatchedWrites(b *testing.B) {
 			// has written everything, so the measurement is true
 			// ingest-to-sink throughput, not queue-offer cost.
 			// A batch fits when every lane could take all of it.
-			laneCap := c.Config().LookQueueCap / c.Lanes()
+			laneCap := c.Config().QueueCap / c.Lanes()
 			fits := func() bool {
 				for _, d := range c.LaneDepths() {
 					if d+offerBatch > laneCap {
@@ -243,7 +243,7 @@ func BenchmarkPipelineBatchedWrites(b *testing.B) {
 					}
 				}
 				_, _, write := c.QueueDepths()
-				return write < cfg.WriteQueueCap/2
+				return write < c.Config().QueueCap/2
 			}
 			var offered uint64
 			for i := 0; i < b.N; i += offerBatch {
@@ -438,7 +438,7 @@ func BenchmarkCorrelate(b *testing.B) {
 	// batch lookups with amortized stats, as the sharded pipeline runs it.
 	b.Run("parallel/lanes=8", func(b *testing.B) {
 		cfg := core.DefaultConfig()
-		cfg.Lanes = 8
+		cfg.NumSplit = 8
 		c := core.New(cfg)
 		fill(c)
 		flows := mkFlows()
@@ -564,15 +564,15 @@ func BenchmarkExactTTL(b *testing.B) {
 //
 //   - engine: record-at-a-time ingest (one-element IngestDNSBatch), Main
 //     config.
-//   - engine/batch=128: the fill-lane worker path — IngestDNSBatch with
+//   - engine/batch=128: the FillUp worker path — IngestDNSBatch with
 //     per-batch clear-up, stats, and shard-lock amortization.
 //   - exact-ttl, exact-ttl/batch=128: the same two paths in Appendix A.8
 //     mode, where the typed (value, expiry) entries replaced the
 //     "value\x00unixNano" string encoding.
 //   - string-answer: the fallback path for records without a typed
 //     address (hand-built or legacy captures) — pays the one parse.
-//   - parallel/fill-lanes=8: concurrent batched ingest across 8 fill
-//     lanes aligned with the store's lane-major split layout.
+//   - parallel/fill-lanes=8: concurrent batched ingest across 8 lanes,
+//     each writing only its own split.
 func BenchmarkIngestDNS(b *testing.B) {
 	const n = 4096
 	typedRecs := func() []stream.DNSRecord {
@@ -607,11 +607,11 @@ func BenchmarkIngestDNS(b *testing.B) {
 			c.IngestDNSBatch(recs[j : j+1])
 		}
 	}
-	// makeLaneBatches partitions recs per fill lane (as OfferDNSBatch
+	// makeLaneBatches partitions recs per lane (as OfferDNSBatch
 	// does) and slices each lane's records into batchSize-record batches —
 	// the workload shape the per-lane fill workers drain.
 	makeLaneBatches := func(c *core.Correlator, recs []stream.DNSRecord, batchSize int) [][]stream.DNSRecord {
-		perLane := make([][]stream.DNSRecord, c.FillLanes())
+		perLane := make([][]stream.DNSRecord, c.Lanes())
 		for i := range recs {
 			l := c.FillLaneFor(&recs[i])
 			perLane[l] = append(perLane[l], recs[i])
@@ -628,10 +628,10 @@ func BenchmarkIngestDNS(b *testing.B) {
 		return batches
 	}
 
-	// batch models the fill-lane worker: batches are lane-local (the
+	// batch models the FillUp worker: batches are lane-local (the
 	// OfferDNSBatch partition routes every record to the lane owning its
 	// answer address), so a batch's puts concentrate on that lane's split
-	// slice and the shard-lock amortization is the deployed one.
+	// and the shard-lock amortization is the deployed one.
 	batch := func(b *testing.B, cfg core.Config) {
 		c := core.New(cfg)
 		recs := typedRecs()
@@ -675,8 +675,7 @@ func BenchmarkIngestDNS(b *testing.B) {
 
 	b.Run("parallel/fill-lanes=8", func(b *testing.B) {
 		cfg := core.DefaultConfig()
-		cfg.Lanes = 8
-		cfg.FillLanes = 8
+		cfg.NumSplit = 8
 		c := core.New(cfg)
 		recs := typedRecs()
 		seed(c, recs)

@@ -27,11 +27,8 @@ import (
 // degrades through the accounted channels.
 func chaosConfig() core.Config {
 	cfg := core.DefaultConfig()
-	cfg.Lanes = 2
-	cfg.FillLanes = 2
-	cfg.FillQueueCap = 512
-	cfg.LookQueueCap = 512
-	cfg.WriteQueueCap = 1024
+	cfg.NumSplit = 2
+	cfg.QueueCap = 512
 	cfg.WriteBatchSize = 32
 	cfg.WriteFlushInterval = 5 * time.Millisecond
 	cfg.SampleLowWater = 0.5

@@ -280,8 +280,9 @@ func main() {
 		sinks = append(sinks, cmp.Or(o.Sink, "tsv"))
 	}
 	run := c.Config()
-	log.Printf("flowdns: running (variant=%s, lanes=%d, fill-lanes=%d, sink=%s, batch=%d, rollup=%v)",
-		cmp.Or(file.Correlator.Variant, string(core.VariantMain)), run.Lanes, run.FillLanes,
+	log.Printf("flowdns: running (variant=%s, lanes=%d, workers fillup=%d lookup=%d write=%d, sink=%s, batch=%d, rollup=%v)",
+		cmp.Or(file.Correlator.Variant, string(core.VariantMain)), c.Lanes(),
+		run.FillUpWorkers, run.LookUpWorkers, run.WriteWorkers,
 		strings.Join(sinks, "+"), run.WriteBatchSize, engine != nil)
 	if err := c.Run(ctx); err != nil {
 		log.Fatalf("flowdns: %v", err)

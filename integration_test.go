@@ -35,18 +35,17 @@ func TestLoopbackPipeline(t *testing.T) {
 	}
 
 	sink := newFlowCounter()
-	// The full sharded topology: DNS TCP stream → 8 fill lanes (parallel
-	// batched FillUp) → 8 correlation lanes → sink.
+	// The full sharded topology: DNS TCP stream → 8 lanes (parallel
+	// batched FillUp, then LookUp) → sink.
 	cfg := core.DefaultConfig()
-	cfg.Lanes = 8
-	cfg.FillLanes = 8
+	cfg.NumSplit = 8
 	cfg.FillUpWorkers = 8
 	c := core.New(cfg,
 		core.WithSink(sink),
 		core.WithSources(stream.NewDNSListener(dnsLn), stream.NewFlowUDPSource(nfConn)),
 	)
-	if c.Lanes() != 8 || c.FillLanes() != 8 {
-		t.Fatalf("lanes = %d, fill lanes = %d", c.Lanes(), c.FillLanes())
+	if c.Lanes() != 8 || len(c.FillLaneDepths()) != 8 {
+		t.Fatalf("lanes = %d, fill lanes = %d", c.Lanes(), len(c.FillLaneDepths()))
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	runDone := make(chan error, 1)
@@ -160,7 +159,7 @@ func TestShardedLanesEndToEnd(t *testing.T) {
 		t.Fatal(err)
 	}
 	cfg := core.DefaultConfig()
-	cfg.Lanes = 8
+	cfg.NumSplit = 8
 	sink := newFlowCounter()
 	c := core.New(cfg,
 		core.WithSink(sink),

@@ -10,6 +10,7 @@
 package config
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -226,16 +227,14 @@ func (rc RollupConfig) Window() time.Duration {
 type CorrelatorConfig struct {
 	Variant         string `json:"variant"`            // Main (default), NoSplit, ...
 	LookupKey       string `json:"lookup_key"`         // source (default), destination, both
-	NumSplit        int    `json:"num_split"`          // 0 = paper default (10)
-	Lanes           int    `json:"lanes"`              // correlation lanes; 0 = one per split (paper default)
-	FillLanes       int    `json:"fill_lanes"`         // fill lanes; 0 = mirror correlation lanes
+	NumSplit        int    `json:"num_split"`          // splits and lanes; 0 = paper default (10)
 	FillUpWorkers   int    `json:"fillup_workers"`     // 0 = default
 	LookUpWorkers   int    `json:"lookup_workers"`     // 0 = default
 	WriteWorkers    int    `json:"write_workers"`      // 0 = default
 	AClearUpSeconds int    `json:"a_clear_up_seconds"` // 0 = 3600
 	CClearUpSeconds int    `json:"c_clear_up_seconds"` // 0 = 7200
 	CNAMEChainLimit int    `json:"cname_chain_limit"`  // 0 = 6
-	QueueCapacity   int    `json:"queue_capacity"`     // 0 = default
+	QueueCapacity   int    `json:"queue_capacity"`     // records each stage buffers; 0 = default
 	WriteBatchSize  int    `json:"write_batch_size"`   // 0 = default (256)
 	WriteFlushMS    int    `json:"write_flush_ms"`     // 0 = default (50 ms)
 	IngestBatch     int    `json:"ingest_batch"`       // UDP datagrams per batched read; 0 = default (32), 1 = single-read loop
@@ -279,9 +278,16 @@ func Load(path string) (*File, error) {
 
 // Parse decodes and validates a configuration document.
 func Parse(data []byte) (*File, error) {
+	// Unknown keys are errors: a misspelt or retired key would otherwise
+	// run silently with its default.
+	dec := json.NewDecoder(bytes.NewReader(data))
+	dec.DisallowUnknownFields()
 	var f File
-	if err := json.Unmarshal(data, &f); err != nil {
+	if err := dec.Decode(&f); err != nil {
 		return nil, fmt.Errorf("config: %w", err)
+	}
+	if _, err := dec.Token(); err != io.EOF {
+		return nil, fmt.Errorf("config: trailing data after the configuration object")
 	}
 	if err := f.Validate(); err != nil {
 		return nil, err
@@ -468,17 +474,13 @@ func (f *File) CoreConfig() (core.Config, error) {
 	}
 	// Zero and negative values mean "default": core.New normalizes them.
 	cfg.NumSplit = cc.NumSplit
-	cfg.Lanes = cc.Lanes
-	cfg.FillLanes = cc.FillLanes
 	cfg.FillUpWorkers = cc.FillUpWorkers
 	cfg.LookUpWorkers = cc.LookUpWorkers
 	cfg.WriteWorkers = cc.WriteWorkers
 	cfg.AClearUpInterval = time.Duration(cc.AClearUpSeconds) * time.Second
 	cfg.CClearUpInterval = time.Duration(cc.CClearUpSeconds) * time.Second
 	cfg.CNAMEChainLimit = cc.CNAMEChainLimit
-	cfg.FillQueueCap = cc.QueueCapacity
-	cfg.LookQueueCap = cc.QueueCapacity
-	cfg.WriteQueueCap = cc.QueueCapacity
+	cfg.QueueCap = cc.QueueCapacity
 	cfg.WriteBatchSize = cc.WriteBatchSize
 	cfg.WriteFlushInterval = time.Duration(cc.WriteFlushMS) * time.Millisecond
 	cfg.SnapshotPath = cc.SnapshotPath

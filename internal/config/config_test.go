@@ -34,7 +34,6 @@ func TestParseFull(t *testing.T) {
 		"output":{"path":"out.tsv","skip_misses":true},
 		"correlator":{
 			"variant":"NoRotation","lookup_key":"both","num_split":4,
-			"lanes":2,"fill_lanes":2,
 			"fillup_workers":2,"lookup_workers":3,"write_workers":1,
 			"a_clear_up_seconds":1800,"c_clear_up_seconds":3600,
 			"cname_chain_limit":4,"queue_capacity":1024
@@ -54,11 +53,8 @@ func TestParseFull(t *testing.T) {
 	if cfg.AClearUpInterval != 1800*time.Second || cfg.CClearUpInterval != 3600*time.Second {
 		t.Fatalf("intervals = %v/%v", cfg.AClearUpInterval, cfg.CClearUpInterval)
 	}
-	if cfg.CNAMEChainLimit != 4 || cfg.FillQueueCap != 1024 {
+	if cfg.CNAMEChainLimit != 4 || cfg.QueueCap != 1024 {
 		t.Fatalf("cfg = %+v", cfg)
-	}
-	if cfg.Lanes != 2 || cfg.FillLanes != 2 {
-		t.Fatalf("lanes = %d, fill lanes = %d, want 2/2", cfg.Lanes, cfg.FillLanes)
 	}
 	if !f.Output.SkipMisses || f.Output.Path != "out.tsv" {
 		t.Fatalf("output = %+v", f.Output)
@@ -77,6 +73,12 @@ func TestParseErrors(t *testing.T) {
 		want string
 	}{
 		{`not json`, nil, "config:"},
+		{`{"dns_streams":[{"listen":":1"}]}{}`, nil, "trailing data"},
+		// Unknown keys fail and name the key: the retired lane counts, and
+		// a typo that would otherwise run with the default.
+		{`{"dns_streams":[{"listen":":1"}],"correlator":{"lanes":8}}`, nil, `unknown field "lanes"`},
+		{`{"dns_streams":[{"listen":":1"}],"correlator":{"fill_lanes":8}}`, nil, `unknown field "fill_lanes"`},
+		{`{"dns_streams":[{"listen":":1"}],"lanse":1}`, nil, `unknown field "lanse"`},
 		{`{}`, []string{"-dns-listen=", "-netflow-listen="}, "no input streams"},
 		{`{"dns_streams":[{"listen":""}]}`, nil, "missing listen"},
 		{`{"dns_streams":[{"listen":":1","format":"ipfix"}]}`, nil, "unsupported format"},

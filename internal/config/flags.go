@@ -55,10 +55,8 @@ func NewFlags(fs *flag.FlagSet) *Flags {
 	fs.BoolVar(&f.Output.SkipMisses, "skip-misses", false, "do not write rows for uncorrelated flows")
 
 	fs.StringVar(&cc.Variant, "variant", string(core.VariantMain), "benchmark variant: Main, NoSplit, NoClearUp, NoRotation, NoLong, ExactTTL")
-	fs.IntVar(&cc.Lanes, "lanes", 0, "correlation lanes (flows partitioned by dst IP; 0 = one lane per split)")
-	fs.IntVar(&cc.FillLanes, "fill-lanes", 0, "fill lanes (DNS records partitioned by answer IP; 0 = mirror -lanes)")
-	fs.IntVar(&cc.FillUpWorkers, "fillup-workers", 4, "FillUp workers")
-	fs.IntVar(&cc.LookUpWorkers, "lookup-workers", core.DefaultNumSplit, "LookUp workers (distributed across lanes, min one per lane)")
+	fs.IntVar(&cc.FillUpWorkers, "fillup-workers", 4, "FillUp workers (spread over the lanes, min one per lane)")
+	fs.IntVar(&cc.LookUpWorkers, "lookup-workers", core.DefaultNumSplit, "LookUp workers (spread over the lanes, min one per lane)")
 	fs.IntVar(&cc.WriteWorkers, "write-workers", 2, "Write workers")
 	fs.IntVar(&cc.WriteBatchSize, "batch-size", core.DefaultWriteBatchSize, "correlated flows per sink WriteBatch call")
 	fs.IntVar(&cc.IngestBatch, "ingest-batch", 0, "UDP datagrams drained per batched socket read (recvmmsg ring size; 0 = default 32, 1 = single-read loop)")

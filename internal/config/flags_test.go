@@ -67,7 +67,7 @@ func TestFlagsMatchJSON(t *testing.T) {
 			`{"cluster":{"role":"worker","nodes":[{"name":"w1","flow":"a:2","dns":"a:1"}]}}`},
 		// Tuning, durations rounded up onto their whole-unit keys, and the
 		// chaos and retry surfaces.
-		{[]string{"-variant", "NoLong", "-lanes", "4", "-fill-lanes", "2", "-fillup-workers", "3",
+		{[]string{"-variant", "NoLong", "-fillup-workers", "3",
 			"-lookup-workers", "8", "-write-workers", "1", "-batch-size", "64", "-flush-interval", "1500us",
 			"-ingest-batch", "8", "-sample-max-shed", "0.5", "-sample-low-water", "0.4",
 			"-sample-high-water", "0.8", "-dns-idle-timeout", "90s", "-snapshot", "s",
@@ -75,7 +75,7 @@ func TestFlagsMatchJSON(t *testing.T) {
 			"core.sink.write=2*error(x);core.sink.flush=error", "-fault-admin",
 			"-sink", "json", "-skip-misses", "-out", "o.jsonl", "-retention", "500ms",
 			"-compact-after", "-500ms", "-rollup", "-rollup-format", "json", "-rollup-http", ":8080"},
-			`{"correlator":{"variant":"NoLong","lanes":4,"fill_lanes":2,"fillup_workers":3,
+			`{"correlator":{"variant":"NoLong","fillup_workers":3,
 				"lookup_workers":8,"write_workers":1,"write_batch_size":64,"write_flush_ms":2,
 				"ingest_batch":8,"sample_max_shed":0.5,"sample_low_water":0.4,"sample_high_water":0.8,
 				"dns_idle_timeout_seconds":90,"snapshot_path":"s","snapshot_every_seconds":90},
@@ -161,7 +161,7 @@ func TestFlagNamesAndDefaults(t *testing.T) {
 		"config": "", "example-config": "false", "stats-interval": "30s",
 		"dns-listen": ":5353", "netflow-listen": ":2055",
 		"out": "-", "sink": "tsv", "sink-url": "", "measurement": "", "skip-misses": "false",
-		"variant": "Main", "lanes": "0", "fill-lanes": "0", "fillup-workers": "4",
+		"variant": "Main", "fillup-workers": "4",
 		"lookup-workers": "10", "write-workers": "2", "batch-size": "256", "ingest-batch": "0",
 		"flush-interval": "50ms", "snapshot": "", "snapshot-every": "5m0s",
 		"sample-max-shed": "0", "sample-low-water": "0", "sample-high-water": "0",
@@ -176,7 +176,7 @@ func TestFlagNamesAndDefaults(t *testing.T) {
 	NewFlags(fs)
 	got := map[string]string{}
 	fs.VisitAll(func(f *flag.Flag) { got[f.Name] = f.DefValue })
-	if len(want) != 44 || !reflect.DeepEqual(got, want) {
+	if len(want) != 42 || !reflect.DeepEqual(got, want) {
 		t.Fatalf("flags = %v\nwant %v", got, want)
 	}
 }

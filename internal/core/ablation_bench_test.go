@@ -94,7 +94,7 @@ func BenchmarkAblationQueueCapacity(b *testing.B) {
 			var lastLoss float64
 			for i := 0; i < b.N; i++ {
 				cfg := DefaultConfig()
-				cfg.FillQueueCap, cfg.LookQueueCap, cfg.WriteQueueCap = capacity, capacity, capacity
+				cfg.QueueCap = capacity
 				c := New(cfg)
 				ctx, cancel := context.WithCancel(context.Background())
 				runDone := make(chan error, 1)

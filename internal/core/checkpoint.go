@@ -55,13 +55,13 @@ func (c *Correlator) fillSnapshot(w *snapshot.Writer) error {
 }
 
 // Restore loads a snapshot stream into the correlator's stores, fanning the
-// CRC-validated sections out across one worker per fill lane. Entries whose
+// CRC-validated sections out across one worker per lane. Entries whose
 // stored expiry has already passed at now are dropped at load; every kept
-// name string is re-interned through the owning fill lane's interner, so a
+// name string is re-interned through the owning lane's interner, so a
 // restored store shares one backing string per distinct service name exactly
 // as a live-filled store does. Split and shard placement are recomputed from
 // the key hash, never trusted from the file, so a snapshot taken under one
-// NumSplit/Lanes layout restores correctly into any other.
+// NumSplit restores correctly into any other.
 //
 // Restore is meant for a correlator that has not started running. On a
 // corrupt or truncated file it returns an error wrapping snapshot.ErrCorrupt
@@ -76,7 +76,7 @@ func (c *Correlator) Restore(r io.Reader, now time.Time) (RestoreStats, error) {
 	st := RestoreStats{Created: sr.Created()}
 	nowNs := now.UnixNano()
 
-	workers := len(c.fillLanes)
+	workers := len(c.lanes)
 	secCh := make(chan *snapshot.Section, workers)
 	var wg sync.WaitGroup
 	var applied, expired atomic.Int64
@@ -145,11 +145,11 @@ func (c *Correlator) applySection(sec *snapshot.Section, nowNs int64) (applied, 
 		if binKeys && len(key) == 16 {
 			k := [16]byte(key)
 			h := ipHash(&k)
-			in := c.fillLanes[c.fillLaneForHash(h)].in
+			in := c.lanes[c.laneForHash(h)].in
 			st.insertRestored(sec.Gen, h, k[:], "", in.intern(string(value)), exp, true)
 		} else {
 			h := cmap.HashBytes(key)
-			in := c.fillLanes[c.fillLaneForHash(h)].in
+			in := c.lanes[c.laneForHash(h)].in
 			st.insertRestored(sec.Gen, h, nil, in.intern(string(key)), in.intern(string(value)), exp, false)
 		}
 		applied++

@@ -84,10 +84,14 @@ func (k LookupKey) String() string {
 // constructors and adjust.
 type Config struct {
 	// NumSplit is the number of splits for the IP-NAME hashmaps (Table 1:
-	// NUM_SPLIT, empirically 10 in the paper's deployment). The lane-major
-	// store layout requires a whole number of splits per lane, so
-	// normalization rounds NumSplit up to the next multiple of Lanes;
-	// Config() reports the effective value.
+	// NUM_SPLIT, empirically 10 in the paper's deployment). It is also the
+	// lane count of the FillUp and LookUp stages: one lane per split, each
+	// with its own fill queue, name interner and lookup queue. DNS records
+	// reach a lane by a hash of the A/AAAA answer address, the same hash
+	// that picks their split, so a lane's FillUp workers write only its own
+	// split. Flows reach a lane by a hash of the destination address; the
+	// lane's LookUp workers read only its own split under LookupDestination,
+	// any split otherwise. The NoSplit ablation has one split and one lane.
 	NumSplit int
 	// AClearUpInterval clears IP-NAME maps (paper: 3600 s, the 99th
 	// percentile of A/AAAA TTLs).
@@ -97,49 +101,27 @@ type Config struct {
 	// CNAMEChainLimit bounds the CNAME walk (paper: 6 covers >99 %).
 	CNAMEChainLimit int
 
-	// Lanes is the number of independent correlation lanes the LookUp
-	// stage is sharded into. Flows are partitioned onto lanes by a hash of
-	// the destination IP at offer time (same dst IP → same lane, always);
-	// each lane owns its own lookup queue, its own workers, and — via the
-	// lane-major split layout — its own slice of the IP-NAME store splits.
-	// 0 falls back to the paper default: one lane per split (NumSplit,
-	// Table 1), mirroring the per-split design. The NoSplit ablation
-	// collapses to a single lane.
-	Lanes int
-
-	// FillLanes is the number of independent fill lanes the FillUp stage is
-	// sharded into. DNS records are partitioned onto fill lanes by a hash
-	// of the A/AAAA answer address at offer time — the same hash that
-	// labels the record's store split — so with FillLanes == Lanes (the
-	// default when 0) each fill lane writes only its own lane's slice of
-	// the IP-NAME splits and FillUp workers never contend on the same
-	// generation shards. The NoSplit ablation collapses to a single fill
-	// lane.
-	FillLanes int
-
 	// Key selects which flow address is resolved (default: source, as in
 	// the paper's deployment).
 	Key LookupKey
 
 	// Worker counts per stage. The paper allocates "multiple FillUp workers
 	// ... to each DNS stream" and likewise for LookUp; these are the
-	// totals. LookUp workers are distributed across lanes; since a lane
-	// without a worker would never drain, the effective LookUp total is
-	// raised to Lanes when LookUpWorkers < Lanes.
+	// totals. FillUp and LookUp workers are spread evenly over the lanes,
+	// and since a lane without a worker would never drain, normalization
+	// raises both to at least the lane count: Config() reports the workers
+	// that run.
 	FillUpWorkers int
 	LookUpWorkers int
 	WriteWorkers  int
 
-	// Queue capacities; overflowing queues drop records (stream loss).
-	// LookQueueCap is the total across all lanes, divided evenly (each
-	// lane gets LookQueueCap/Lanes, minimum 1). A single hot destination
-	// can buffer up to one lane's share before that lane drops — less
-	// absorption than the pre-lane shared queue gave a single bursty
-	// destination — so operators with skewed traffic should raise this
-	// and watch LaneDepths.
-	FillQueueCap  int
-	LookQueueCap  int
-	WriteQueueCap int
+	// QueueCap is how many records each stage buffers in total;
+	// overflowing queues drop records (stream loss). The fill and lookup
+	// stages split it evenly over the lanes (at least 1 per lane), so a
+	// burst to one hot destination or answer address only gets its lane's
+	// share before that lane drops: operators with skewed traffic should
+	// raise it and watch LaneDepths.
+	QueueCap int
 
 	// Adaptive overload shedding (the production inverse of the paper's
 	// "keep the buffer usage stable to avoid any loss" goal: when loss is
@@ -204,11 +186,9 @@ func DefaultConfig() Config {
 		CClearUpInterval:      DefaultCClearUpInterval,
 		CNAMEChainLimit:       DefaultCNAMEChainLimit,
 		FillUpWorkers:         4,
-		LookUpWorkers:         DefaultNumSplit, // one per default lane; every lane needs a worker
+		LookUpWorkers:         DefaultNumSplit,
 		WriteWorkers:          2,
-		FillQueueCap:          DefaultQueueCapacity,
-		LookQueueCap:          DefaultQueueCapacity,
-		WriteQueueCap:         DefaultQueueCapacity,
+		QueueCap:              DefaultQueueCapacity,
 		WriteBatchSize:        DefaultWriteBatchSize,
 		WriteFlushInterval:    DefaultWriteFlushInterval,
 		ExactTTLSweepInterval: 60 * time.Second,
@@ -276,14 +256,8 @@ func (c Config) normalized() Config {
 	if c.WriteWorkers <= 0 {
 		c.WriteWorkers = d.WriteWorkers
 	}
-	if c.FillQueueCap <= 0 {
-		c.FillQueueCap = d.FillQueueCap
-	}
-	if c.LookQueueCap <= 0 {
-		c.LookQueueCap = d.LookQueueCap
-	}
-	if c.WriteQueueCap <= 0 {
-		c.WriteQueueCap = d.WriteQueueCap
+	if c.QueueCap <= 0 {
+		c.QueueCap = d.QueueCap
 	}
 	if c.WriteBatchSize <= 0 {
 		c.WriteBatchSize = d.WriteBatchSize
@@ -323,26 +297,8 @@ func (c Config) normalized() Config {
 	if c.DisableSplit {
 		c.NumSplit = 1
 	}
-	if c.Lanes <= 0 {
-		// Paper-default fallback: one correlation lane per split.
-		c.Lanes = c.NumSplit
-	}
-	if c.DisableSplit {
-		c.Lanes = 1
-	}
-	// The lane-major store layout needs an equal number of splits per
-	// lane; round NumSplit up to the next multiple of Lanes so Config()
-	// reports the split count actually allocated.
-	if rem := c.NumSplit % c.Lanes; rem != 0 {
-		c.NumSplit += c.Lanes - rem
-	}
-	if c.FillLanes <= 0 {
-		// Default: mirror the correlation lanes, aligning the fill
-		// partition with the lane-major split layout.
-		c.FillLanes = c.Lanes
-	}
-	if c.DisableSplit {
-		c.FillLanes = 1
-	}
+	// One lane per split, and every lane needs a worker of each kind.
+	c.FillUpWorkers = max(c.FillUpWorkers, c.NumSplit)
+	c.LookUpWorkers = max(c.LookUpWorkers, c.NumSplit)
 	return c
 }

@@ -130,7 +130,9 @@ func WithMetrics(interval time.Duration, observe func(Stats)) Option {
 // Sources, run the workers with Run(ctx) — cancellation stops intake and
 // drains every stage through the sink — and read Stats at any time. The
 // deterministic IngestDNSBatch/CorrelateBatch methods bypass the queues for
-// offline replays; a single record is a one-element batch.
+// offline replays; a single record is a one-element batch. The FillUp and
+// LookUp stages run one lane per IP-NAME split (Config.NumSplit), each lane
+// with its own queues and workers; one write queue feeds the sink.
 type Correlator struct {
 	cfg      Config
 	sink     Sink
@@ -147,28 +149,17 @@ type Correlator struct {
 	ipName    *store // A/AAAA answer(IP) -> query name
 	nameCname *store // CNAME answer(canonical) -> query (alias)
 
-	// fillLanes are the sharded FillUp stage, mirroring the correlation
-	// lanes: each fill lane owns its own queue, its own workers, and its
-	// own name interner, and DNS records are partitioned onto fill lanes by
-	// the same ipHash of the A/AAAA answer address that places the entry in
-	// the store. With FillLanes == Lanes every fill lane therefore writes
-	// only its lane's slice of the store splits, so concurrent FillUp
-	// workers never contend on the same generation shards — the put-side
-	// twin of the lane-major lookup layout.
-	fillLanes []*fillLane
-	// lanes are the sharded LookUp stage: each lane owns its own lookup
-	// queue and its own workers, and flows are partitioned onto lanes by a
-	// hash of the destination IP (same dst IP → same lane). The store's
-	// lane-major split layout aligns with this partition, so
-	// destination-keyed lookups from different lanes never touch the same
-	// generation shards.
-	lanes  []*corrLane
+	// lanes are the FillUp and LookUp stages, one lane per IP-NAME split
+	// (see Config.NumSplit): DNS records are partitioned onto lanes by the
+	// ipHash of the answer address, flows by the ipHash of the destination
+	// address.
+	lanes  []*lane
 	writeQ *queue.Queue[CorrelatedFlow]
 
 	// stagePool recycles the per-lane staging buffers OfferFlowBatch uses
 	// to partition a batch in one pass.
 	stagePool sync.Pool
-	// dnsStagePool does the same for OfferDNSBatch's fill-lane partition.
+	// dnsStagePool does the same for OfferDNSBatch's partition.
 	dnsStagePool sync.Pool
 	// fillBufPool recycles the item-assembly scratch the synchronous
 	// IngestDNSBatch uses for batches of more than one record; lane
@@ -204,7 +195,6 @@ func New(cfg Config, opts ...Option) *Correlator {
 		sink: DiscardSink{},
 		ipName: newStore(storeConfig{
 			splits:        cfg.NumSplit,
-			lanes:         cfg.Lanes,
 			interval:      cfg.AClearUpInterval,
 			rotation:      !cfg.DisableRotation,
 			clearUp:       !cfg.DisableClearUp,
@@ -223,9 +213,8 @@ func New(cfg Config, opts ...Option) *Correlator {
 			exactTTL:      cfg.ExactTTL,
 			sweepInterval: cfg.ExactTTLSweepInterval,
 		}),
-		fillLanes:  make([]*fillLane, cfg.FillLanes),
-		lanes:      make([]*corrLane, cfg.Lanes),
-		writeQ:     queue.New[CorrelatedFlow](cfg.WriteQueueCap),
+		lanes:      make([]*lane, cfg.NumSplit),
+		writeQ:     queue.New[CorrelatedFlow](cfg.QueueCap),
 		sinkFailed: make(chan struct{}),
 		draining:   make(chan struct{}),
 	}
@@ -238,40 +227,22 @@ func New(cfg Config, opts ...Option) *Correlator {
 		MaxShed:   cfg.SampleMaxShed,
 	}
 	c.writeQ.SetSampler(sampler)
-	// FillQueueCap is the total fill buffer, divided evenly across fill
-	// lanes (same contract as LookQueueCap below).
-	perFillCap := cfg.FillQueueCap / cfg.FillLanes
-	if perFillCap < 1 {
-		perFillCap = 1
-	}
-	for i := range c.fillLanes {
-		c.fillLanes[i] = &fillLane{
-			q:  queue.New[stream.DNSRecord](perFillCap),
-			in: newInterner(defaultInternCap),
-		}
-		c.fillLanes[i].q.SetSampler(sampler)
-	}
-	// LookQueueCap is the total lookup buffer, divided evenly across
-	// lanes, so the stage's memory footprint and the configured loss
-	// bound do not scale with the lane count. The flip side: a burst to
-	// one hot destination only gets its lane's share — raise
-	// LookQueueCap (and watch LaneDepths) for skewed traffic.
-	perLaneCap := cfg.LookQueueCap / cfg.Lanes
-	if perLaneCap < 1 {
-		perLaneCap = 1
-	}
+	// QueueCap is each stage's total buffer: the lane queues split it, so
+	// the memory footprint and the loss bound do not scale with NumSplit.
+	perLane := max(cfg.QueueCap/len(c.lanes), 1)
 	for i := range c.lanes {
-		c.lanes[i] = &corrLane{q: queue.New[flowEntry](perLaneCap)}
-		c.lanes[i].q.SetSampler(sampler)
+		l := &lane{
+			fill: queue.New[stream.DNSRecord](perLane),
+			in:   newInterner(defaultInternCap),
+			look: queue.New[flowEntry](perLane),
+		}
+		l.fill.SetSampler(sampler)
+		l.look.SetSampler(sampler)
+		c.lanes[i] = l
 	}
-	laneCount := len(c.lanes)
-	c.stagePool.New = func() any {
-		return &laneStage{perLane: make([][]flowEntry, laneCount)}
-	}
-	fillLaneCount := len(c.fillLanes)
-	c.dnsStagePool.New = func() any {
-		return &dnsStage{perLane: make([][]stream.DNSRecord, fillLaneCount)}
-	}
+	n := len(c.lanes)
+	c.stagePool.New = func() any { return &laneStage{perLane: make([][]flowEntry, n)} }
+	c.dnsStagePool.New = func() any { return &dnsStage{perLane: make([][]stream.DNSRecord, n)} }
 	c.fillBufPool.New = func() any { return new(fillBuf) }
 	for _, opt := range opts {
 		if opt != nil {
@@ -279,7 +250,7 @@ func New(cfg Config, opts ...Option) *Correlator {
 		}
 	}
 	// Restore-on-boot: repopulate the stores from the last checkpoint, if
-	// one exists. This runs after the fill lanes are built (restored names
+	// one exists. This runs after the lanes are built (restored names
 	// re-intern through the lane interners) and before any worker starts,
 	// so the restore itself is the only writer.
 	if cfg.SnapshotPath != "" {
@@ -288,17 +259,13 @@ func New(cfg Config, opts ...Option) *Correlator {
 	return c
 }
 
-// corrLane is one correlation lane: an independent slice of the LookUp
-// stage with its own queue; its workers are launched by Run.
-type corrLane struct {
-	q *queue.Queue[flowEntry]
-}
-
-// fillLane is one fill lane: an independent slice of the FillUp stage with
-// its own queue and name interner; its workers are launched by Run.
-type fillLane struct {
-	q  *queue.Queue[stream.DNSRecord]
-	in *interner
+// lane is one split's slice of the FillUp and LookUp stages: the fill
+// queue its FillUp workers drain, the interner they share, and the lookup
+// queue its LookUp workers drain. Run launches the workers.
+type lane struct {
+	fill *queue.Queue[stream.DNSRecord]
+	in   *interner
+	look *queue.Queue[flowEntry]
 }
 
 // dnsStage is the reusable per-lane staging buffer OfferDNSBatch partitions
@@ -328,7 +295,7 @@ type laneStage struct {
 // bytes through byte-at-a-time FNV on the per-flow path. Every operation
 // on binary IP keys (lane selection, store split labeling, shard
 // selection, fills) must use this same hash; that shared value is what
-// makes lane ↔ split-slice ownership line up.
+// puts an answer address's lane and store split at the same index.
 func ipHash(key *[16]byte) uint32 {
 	lo := binary.LittleEndian.Uint64(key[:8])
 	hi := binary.LittleEndian.Uint64(key[8:])
@@ -340,86 +307,62 @@ func ipHash(key *[16]byte) uint32 {
 	return uint32(x)
 }
 
-// laneFor returns the correlation lane owning addr: the low bits of the
-// shared IP-key hash, exactly as the store's lane-major split layout uses
-// them.
+// laneFor returns the lane index for addr's ipHash.
 func (c *Correlator) laneFor(addr netip.Addr) int {
 	if len(c.lanes) == 1 {
 		return 0
 	}
 	a16 := addr.As16()
-	return int(ipHash(&a16) % uint32(len(c.lanes)))
+	return c.laneForHash(ipHash(&a16))
 }
 
-// fillLaneFor returns the fill lane owning rec. A/AAAA records route by the
-// same ipHash of the answer address that labels their store split, so with
-// FillLanes == Lanes each fill lane writes only its own split slice; the
-// offer path materializes the typed address first (typeAnswerAddr), so a
-// string-only producer's records route identically to a wire source's for
-// the same IP. Records without a parsable address (CNAMEs, garbage
-// answers) route by the answer-string hash — any lane ingests them
-// correctly; only the contention alignment is lost.
-func (c *Correlator) fillLaneFor(rec *stream.DNSRecord) int {
-	if len(c.fillLanes) == 1 {
+// laneForHash is laneFor when the caller already has the key hash; for an
+// IP key it is also the key's store split.
+func (c *Correlator) laneForHash(h uint32) int {
+	return int(h % uint32(len(c.lanes)))
+}
+
+// dnsLaneFor returns the lane rec fills through. A/AAAA records route by
+// the answer address, so each lane writes only its own split; the offer
+// path types the address first (DNSRecord.TypeAddr), so a string-only
+// producer's records route identically to a wire source's for the same IP.
+// Records without a parsable address (CNAMEs, garbage answers) route by
+// the answer-string hash: any lane ingests them correctly.
+func (c *Correlator) dnsLaneFor(rec *stream.DNSRecord) int {
+	if len(c.lanes) == 1 {
 		return 0
 	}
 	if rec.Addr.IsValid() {
-		a16 := rec.Addr.As16()
-		return c.fillLaneForHash(ipHash(&a16))
+		return c.laneFor(rec.Addr)
 	}
-	return c.fillLaneForHash(cmap.Hash(rec.Answer))
+	return c.laneForHash(cmap.Hash(rec.Answer))
 }
 
-// fillLaneForHash is fillLaneFor when the caller already has the key hash.
-func (c *Correlator) fillLaneForHash(h uint32) int {
-	return int(h % uint32(len(c.fillLanes)))
-}
-
-// typeAnswerAddr materializes the typed address of a string-only A/AAAA
-// record in place: one parse at offer time instead of one per ingest, and
-// — because the fill-lane partition keys on the typed address — records
-// for the same IP land on the same lane no matter which producer built
-// them. Unparsable answers are left as-is (the §3.2 filter rejects them at
-// ingest).
-func typeAnswerAddr(rec *stream.DNSRecord) {
-	if rec.Addr.IsValid() || rec.Answer == "" {
-		return
-	}
-	if rec.RType == dnswire.TypeA || rec.RType == dnswire.TypeAAAA {
-		if addr, err := netip.ParseAddr(rec.Answer); err == nil {
-			rec.Addr = addr
-		}
-	}
-}
-
-// Lanes returns the number of correlation lanes in effect.
+// Lanes returns the number of lanes in effect: NumSplit, 1 under NoSplit.
 func (c *Correlator) Lanes() int { return len(c.lanes) }
-
-// FillLanes returns the number of fill lanes in effect.
-func (c *Correlator) FillLanes() int { return len(c.fillLanes) }
 
 // Config returns the normalized configuration in effect.
 func (c *Correlator) Config() Config { return c.cfg }
 
 // --- stream.Ingest façade (live pipeline) ---
 
-// OfferDNSBatch partitions a batch of DNS records onto their fill lanes —
-// one pass through reusable staging buffers, as OfferFlowBatch does for
-// flows — and returns how many were accepted; the rest were dropped
-// (stream loss). The lane is chosen by the answer-address hash, so records
-// for the same address always land on the same lane.
+// OfferDNSBatch partitions a batch of DNS records onto their lanes' fill
+// queues — one pass through reusable staging buffers, as OfferFlowBatch
+// does for flows — and returns how many were accepted; the rest were
+// dropped (stream loss). The lane is chosen by the answer-address hash, so
+// records for the same address always land on the same lane.
 func (c *Correlator) OfferDNSBatch(recs []stream.DNSRecord) int {
 	if len(recs) == 0 {
 		return 0
 	}
-	if len(c.fillLanes) == 1 {
-		return c.fillLanes[0].q.OfferBatch(recs)
+	if len(c.lanes) == 1 {
+		return c.lanes[0].fill.OfferBatch(recs)
 	}
 	st := c.dnsStagePool.Get().(*dnsStage)
 	for i := range recs {
 		r := recs[i]
-		typeAnswerAddr(&r)
-		l := c.fillLaneFor(&r)
+		r.TypeAddr()
+		l := c.dnsLaneFor(&r)
 		st.perLane[l] = append(st.perLane[l], r)
 	}
 	accepted := 0
@@ -427,14 +370,14 @@ func (c *Correlator) OfferDNSBatch(recs []stream.DNSRecord) int {
 		if len(st.perLane[l]) == 0 {
 			continue
 		}
-		accepted += c.fillLanes[l].q.OfferBatch(st.perLane[l])
+		accepted += c.lanes[l].fill.OfferBatch(st.perLane[l])
 		st.perLane[l] = st.perLane[l][:0]
 	}
 	c.dnsStagePool.Put(st)
 	return accepted
 }
 
-// OfferFlowBatch partitions a batch of flows onto their correlation lanes —
+// OfferFlowBatch partitions a batch of flows onto their lanes' lookup queues —
 // one arrival stamp for the whole batch — and returns how many were
 // accepted; the rest were dropped (stream loss). The lane is chosen by a
 // hash of the destination IP, so flows to the same destination always land
@@ -455,7 +398,7 @@ func (c *Correlator) OfferFlowBatch(frs []netflow.FlowRecord) int {
 		if len(st.perLane[l]) == 0 {
 			continue
 		}
-		accepted += c.lanes[l].q.OfferBatch(st.perLane[l])
+		accepted += c.lanes[l].look.OfferBatch(st.perLane[l])
 		st.perLane[l] = st.perLane[l][:0]
 	}
 	c.stagePool.Put(st)
@@ -466,40 +409,37 @@ var _ stream.Ingest = (*Correlator)(nil)
 
 // QueueDepths reports the current occupancy of the three stage queues —
 // the "buffer usage" the paper's operators watch to keep loss at zero. The
-// look depth aggregates every correlation lane; LaneDepths has the
-// per-lane breakdown.
+// fill and look depths aggregate every lane; FillLaneDepths and LaneDepths
+// have the per-lane breakdown.
 func (c *Correlator) QueueDepths() (fill, look, write int) {
-	for _, l := range c.fillLanes {
-		fill += l.q.Len()
-	}
 	for _, l := range c.lanes {
-		look += l.q.Len()
+		fill += l.fill.Len()
+		look += l.look.Len()
 	}
 	return fill, look, c.writeQ.Len()
 }
 
-// LaneDepths reports each correlation lane's lookup-queue occupancy — the
-// skew monitor for the dst-IP partition (a hot destination shows up as one
-// deep lane).
+// LaneDepths reports each lane's lookup-queue occupancy — the skew monitor
+// for the dst-IP partition (a hot destination shows up as one deep lane).
 func (c *Correlator) LaneDepths() []int {
 	out := make([]int, len(c.lanes))
 	for i, l := range c.lanes {
-		out[i] = l.q.Len()
+		out[i] = l.look.Len()
 	}
 	return out
 }
 
-// FillLaneFor reports which fill lane rec routes to — the partition
+// FillLaneFor reports which lane rec fills through — the partition
 // inspector behind FillLaneDepths skew debugging (and the repo benchmarks'
 // lane-local batch construction).
-func (c *Correlator) FillLaneFor(rec *stream.DNSRecord) int { return c.fillLaneFor(rec) }
+func (c *Correlator) FillLaneFor(rec *stream.DNSRecord) int { return c.dnsLaneFor(rec) }
 
-// FillLaneDepths reports each fill lane's queue occupancy — the skew
+// FillLaneDepths reports each lane's fill-queue occupancy — the skew
 // monitor for the answer-address partition.
 func (c *Correlator) FillLaneDepths() []int {
-	out := make([]int, len(c.fillLanes))
-	for i, l := range c.fillLanes {
-		out[i] = l.q.Len()
+	out := make([]int, len(c.lanes))
+	for i, l := range c.lanes {
+		out[i] = l.fill.Len()
 	}
 	return out
 }
@@ -524,100 +464,32 @@ func (c *Correlator) Run(ctx context.Context) error {
 	}
 
 	var wgFill, wgLook, wgWrite sync.WaitGroup
-	// FillUp workers are divided evenly across fill lanes (at least one per
-	// lane), exactly as LookUp workers are across correlation lanes: a
-	// worker drains only its own lane's queue and ingests whole batches, so
-	// the clear-up check, the stats updates, and the shard-lock traffic all
-	// amortize per batch instead of per record.
-	baseFill := c.cfg.FillUpWorkers / len(c.fillLanes)
-	extraFill := c.cfg.FillUpWorkers % len(c.fillLanes)
-	if baseFill < 1 {
-		baseFill, extraFill = 1, 0
-	}
-	for li, lane := range c.fillLanes {
-		workersPerLane := baseFill
-		if li < extraFill {
-			workersPerLane++
+	// FillUp and LookUp workers are spread evenly over the lanes, the
+	// remainder one each to the first lanes; normalized guarantees every
+	// lane at least one of each. A worker drains only its own lane's queue
+	// in whole batches, so the clear-up check, the stats updates and the
+	// shard-lock traffic amortize per batch instead of per record.
+	spread := func(total, li int) int {
+		n := total / len(c.lanes)
+		if li < total%len(c.lanes) {
+			n++
 		}
-		for i := 0; i < workersPerLane; i++ {
+		return n
+	}
+	for li, l := range c.lanes {
+		for range spread(c.cfg.FillUpWorkers, li) {
 			wgFill.Add(1)
-			go func(lane *fillLane) {
+			go func() {
 				defer wgFill.Done()
-				h := c.sup.comp(compFill)
-				batch := make([]stream.DNSRecord, 0, ingestBatchSize)
-				var buf fillBuf // worker-private assembly scratch
-				c.superviseLoop(h, func() {
-					for {
-						var ok bool
-						batch, ok = lane.q.TakeBatch(batch[:0], ingestBatchSize, 0)
-						if !ok {
-							return
-						}
-						c.ingestGuarded(h, batch, lane.in, &buf)
-					}
-				})
-			}(lane)
+				c.fillWorker(l)
+			}()
 		}
-	}
-	// LookUp workers are divided evenly across lanes (at least one per
-	// lane): a worker drains only its own lane's queue, so two workers
-	// never contend on one queue unless the operator asked for more
-	// workers than lanes. The handoff to the Write stage uses blocking
-	// PutBatch, not the dropping OfferBatch: a flow accepted into a lane
-	// is already part of the pipeline and must reach the sink — loss is
-	// accounted only at intake. This also makes the drain lossless: a full
-	// lane queue at cancellation backpressures into the Write workers
-	// instead of overflowing the write queue.
-	baseWorkers := c.cfg.LookUpWorkers / len(c.lanes)
-	extraWorkers := c.cfg.LookUpWorkers % len(c.lanes)
-	if baseWorkers < 1 {
-		// Fewer workers than lanes: every lane still needs one (a lane
-		// without a worker would never drain), so the effective total is
-		// the lane count.
-		baseWorkers, extraWorkers = 1, 0
-	}
-	for li, lane := range c.lanes {
-		workersPerLane := baseWorkers
-		if li < extraWorkers {
-			workersPerLane++ // distribute the remainder; the configured total is honored
-		}
-		for i := 0; i < workersPerLane; i++ {
+		for range spread(c.cfg.LookUpWorkers, li) {
 			wgLook.Add(1)
-			go func(lane *corrLane) {
+			go func() {
 				defer wgLook.Done()
-				h := c.sup.comp(compLook)
-				batch := make([]flowEntry, 0, ingestBatchSize)
-				out := make([]CorrelatedFlow, 0, ingestBatchSize)
-				var tally lookTally
-				c.superviseLoop(h, func() {
-					for {
-						var ok bool
-						batch, ok = lane.q.TakeBatch(batch[:0], ingestBatchSize, 0)
-						if !ok {
-							return
-						}
-						out = out[:0]
-						var poisoned uint64
-						for i := range batch {
-							out = append(out, CorrelatedFlow{})
-							cf := &out[len(out)-1]
-							// A record whose correlation panics drops that one
-							// output slot — not the batch, not the worker.
-							if !c.correlateGuarded(h, cf, &batch[i].fr, &tally) {
-								out = out[:len(out)-1]
-								poisoned++
-								continue
-							}
-							cf.EnqueuedAt = batch[i].at
-						}
-						tally.flush(&c.stats)
-						if poisoned != 0 {
-							c.stats.poisoned.Add(poisoned)
-						}
-						c.writeQ.PutBatch(out)
-					}
-				})
-			}(lane)
+				c.lookWorker(l)
+			}()
 		}
 	}
 	// The drain must finish even after ctx is cancelled: in-flight records
@@ -809,11 +681,9 @@ func (c *Correlator) Run(ctx context.Context) error {
 	// accepted into any lane reaches the sink exactly once.
 	stopSources()
 	wgSrc.Wait()
-	for _, lane := range c.fillLanes {
-		lane.q.Close()
-	}
-	for _, lane := range c.lanes {
-		lane.q.Close()
+	for _, l := range c.lanes {
+		l.fill.Close()
+		l.look.Close()
 	}
 	wgFill.Wait()
 	wgLook.Wait()
@@ -853,6 +723,66 @@ func (c *Correlator) Run(ctx context.Context) error {
 	return errors.Join(errs...)
 }
 
+// fillWorker is one FillUp worker: it drains l's fill queue in batches
+// into the stores through l's interner.
+func (c *Correlator) fillWorker(l *lane) {
+	h := c.sup.comp(compFill)
+	batch := make([]stream.DNSRecord, 0, ingestBatchSize)
+	var buf fillBuf // worker-private assembly scratch
+	c.superviseLoop(h, func() {
+		for {
+			var ok bool
+			batch, ok = l.fill.TakeBatch(batch[:0], ingestBatchSize, 0)
+			if !ok {
+				return
+			}
+			c.ingestGuarded(h, batch, l.in, &buf)
+		}
+	})
+}
+
+// lookWorker is one LookUp worker: it drains l's lookup queue in batches
+// and hands the correlated flows to the Write stage. The handoff uses
+// blocking PutBatch, not the dropping OfferBatch: a flow accepted into a
+// lane is already part of the pipeline and must reach the sink — loss is
+// accounted only at intake. This also makes the drain lossless: a full
+// lane queue at cancellation backpressures into the Write workers instead
+// of overflowing the write queue.
+func (c *Correlator) lookWorker(l *lane) {
+	h := c.sup.comp(compLook)
+	batch := make([]flowEntry, 0, ingestBatchSize)
+	out := make([]CorrelatedFlow, 0, ingestBatchSize)
+	var tally lookTally
+	c.superviseLoop(h, func() {
+		for {
+			var ok bool
+			batch, ok = l.look.TakeBatch(batch[:0], ingestBatchSize, 0)
+			if !ok {
+				return
+			}
+			out = out[:0]
+			var poisoned uint64
+			for i := range batch {
+				out = append(out, CorrelatedFlow{})
+				cf := &out[len(out)-1]
+				// A record whose correlation panics drops that one
+				// output slot — not the batch, not the worker.
+				if !c.correlateGuarded(h, cf, &batch[i].fr, &tally) {
+					out = out[:len(out)-1]
+					poisoned++
+					continue
+				}
+				cf.EnqueuedAt = batch[i].at
+			}
+			tally.flush(&c.stats)
+			if poisoned != 0 {
+				c.stats.poisoned.Add(poisoned)
+			}
+			c.writeQ.PutBatch(out)
+		}
+	})
+}
+
 // Draining reports whether Run has begun its graceful drain — the flag the
 // HTTP snapshot handlers consult to answer 503 instead of racing the
 // sealing path. It stays true after Run returns.
@@ -877,7 +807,7 @@ func (c *Correlator) failSink(err error) {
 
 // IngestDNSBatch validates a batch of DNS records and fills them into the
 // hashmaps (Algorithm 1). It is the deterministic entry point for offline
-// replays — one record is a one-element batch — and the fill-lane worker
+// replays — one record is a one-element batch — and the FillUp worker
 // body. A/AAAA answers are keyed by the 16-byte binary address form (the
 // same key LookUp builds from a flow's address), taken straight from the
 // typed Addr field when the producer supplied it; only string-only records
@@ -893,7 +823,7 @@ func (c *Correlator) failSink(err error) {
 // batch rotates before the whole batch lands in the fresh Active
 // generation — so callers whose consecutive records carry different
 // timestamps pass one-element batches to keep the record clock exact.
-// Synchronous callers share fill lane 0's name interner.
+// Synchronous callers share lane 0's name interner.
 func (c *Correlator) IngestDNSBatch(recs []stream.DNSRecord) {
 	if len(recs) == 0 {
 		return
@@ -903,10 +833,10 @@ func (c *Correlator) IngestDNSBatch(recs []stream.DNSRecord) {
 		buf = c.fillBufPool.Get().(*fillBuf)
 		defer c.fillBufPool.Put(buf)
 	}
-	c.ingestBatch(recs, c.fillLanes[0].in, buf)
+	c.ingestBatch(recs, c.lanes[0].in, buf)
 }
 
-// ingestBatch is the shared IngestDNSBatch body; lane workers pass their
+// ingestBatch is the shared IngestDNSBatch body; FillUp workers pass their
 // lane's interner and a worker-private scratch buffer. A one-record batch
 // has nothing to group: its A/AAAA record goes straight to its shard with
 // the same clock step, and buf may be nil — which keeps the
@@ -1050,20 +980,29 @@ func (c *Correlator) correlateInto(cf *CorrelatedFlow, fr *netflow.FlowRecord, t
 	tally.hits[tier]++
 
 	// Walk the CNAME chain backwards: answer(canonical) -> query(alias),
-	// ending at the name nothing else aliases — the original service name.
+	// ending at the name nothing else aliases — the original service name —
+	// or after CNAMEChainLimit hops.
 	first := name
 	result := name
 	hops := 0
-	for hops < c.cfg.CNAMEChainLimit {
+	truncated := false
+	for {
 		next, t := c.nameCname.get(fr.Timestamp, result)
 		if t == TierNone || next == result {
+			break
+		}
+		if hops == c.cfg.CNAMEChainLimit {
+			truncated = true
 			break
 		}
 		result = next
 		hops++
 	}
-	if hops > 1 {
-		// §3.3 step 7: memoize multi-hop resolutions for later use.
+	if hops > 1 && !truncated {
+		// §3.3 step 7: memoize multi-hop resolutions for later use. A walk
+		// the limit cut short is not a resolution: memoizing it would
+		// overwrite first's alias edge, and the next flow would walk on
+		// from the truncated name to a different answer.
 		c.nameCname.memoize(first, result)
 		tally.memoized++
 	}

@@ -147,6 +147,48 @@ func TestMemoization(t *testing.T) {
 	}
 }
 
+// TestTruncatedWalkNotMemoized pins that a walk cut off by
+// CNAMEChainLimit is not memoized: memoizing it overwrote the alias edge
+// of the chain's last name, so the same flow correlated twice gave two
+// different answers (c2 after 6 hops, then svc after 3).
+func TestTruncatedWalkNotMemoized(t *testing.T) {
+	c := newSyncCorrelator(DefaultConfig())
+	// svc.example → c1 → … → c8, with the A record on c8.
+	prev := "svc.example"
+	for i := 1; i <= 8; i++ {
+		next := fmt.Sprintf("c%d.cdn.example", i)
+		ingest(c, cnameRec(t0, prev, next, 300))
+		prev = next
+	}
+	ingest(c, aRec(t0, prev, "198.51.100.15", 60))
+	for i := 1; i <= 2; i++ {
+		cf := correlate(c, flow(t0.Add(time.Duration(i)*time.Second), "198.51.100.15", 100))
+		if cf.Name != "c2.cdn.example" || cf.ChainLen != DefaultCNAMEChainLimit {
+			t.Fatalf("correlation %d = %q after %d hops, want c2.cdn.example after %d",
+				i, cf.Name, cf.ChainLen, DefaultCNAMEChainLimit)
+		}
+	}
+	if m := c.Stats().Memoized; m != 0 {
+		t.Fatalf("memoized = %d, want 0", m)
+	}
+
+	// A chain of exactly the limit reaches its end and keeps the shortcut.
+	c = newSyncCorrelator(DefaultConfig())
+	prev = "svc.example"
+	for i := 1; i <= DefaultCNAMEChainLimit; i++ {
+		next := fmt.Sprintf("c%d.cdn.example", i)
+		ingest(c, cnameRec(t0, prev, next, 300))
+		prev = next
+	}
+	ingest(c, aRec(t0, prev, "198.51.100.16", 60))
+	cf1 := correlate(c, flow(t0.Add(time.Second), "198.51.100.16", 100))
+	cf2 := correlate(c, flow(t0.Add(2*time.Second), "198.51.100.16", 100))
+	if cf1.Name != "svc.example" || cf1.ChainLen != DefaultCNAMEChainLimit ||
+		cf2.Name != "svc.example" || cf2.ChainLen != 1 {
+		t.Fatalf("exact-limit chain: first %q/%d, second %q/%d", cf1.Name, cf1.ChainLen, cf2.Name, cf2.ChainLen)
+	}
+}
+
 func TestMissReturnsNull(t *testing.T) {
 	c := newSyncCorrelator(DefaultConfig())
 	cf := correlate(c, flow(t0, "198.51.100.99", 100))

@@ -202,17 +202,17 @@ func TestIngestDNSBatchMatchesSingle(t *testing.T) {
 
 func TestInterningSharesValueStorage(t *testing.T) {
 	c := New(DefaultConfig())
-	// Interners are per fill lane, so pick two addresses that the answer
+	// Interners are per lane, so pick two addresses that the answer
 	// partition routes to the same lane (cross-lane duplication is by
 	// design: at most one copy of a name per lane).
 	first := "198.51.100.91"
 	probe := aRecTyped(t0, "x", first, 1)
-	lane := c.fillLaneFor(&probe)
+	lane := c.dnsLaneFor(&probe)
 	second := ""
 	for i := 1; i < 250; i++ {
 		ip := fmt.Sprintf("198.51.101.%d", i)
 		r := aRecTyped(t0, "x", ip, 1)
-		if c.fillLaneFor(&r) == lane {
+		if c.dnsLaneFor(&r) == lane {
 			second = ip
 			break
 		}
@@ -261,52 +261,43 @@ func TestInternerResetAtCapacity(t *testing.T) {
 // --- fill lanes ---
 
 func TestFillLaneDefaults(t *testing.T) {
-	if got := New(DefaultConfig()).FillLanes(); got != DefaultNumSplit {
-		t.Fatalf("default fill lanes = %d, want %d (mirror lanes)", got, DefaultNumSplit)
-	}
-	cfg := DefaultConfig()
-	cfg.Lanes = 4
-	if got := New(cfg).FillLanes(); got != 4 {
-		t.Fatalf("fill lanes = %d, want Lanes (4)", got)
-	}
-	cfg.FillLanes = 2
-	if got := New(cfg).FillLanes(); got != 2 {
-		t.Fatalf("explicit fill lanes = %d, want 2", got)
-	}
-	nosplit := ConfigForVariant(VariantNoSplit)
-	nosplit.FillLanes = 8
-	if got := New(nosplit).FillLanes(); got != 1 {
-		t.Fatalf("NoSplit fill lanes = %d, want 1", got)
-	}
-	if d := New(DefaultConfig()).FillLaneDepths(); len(d) != DefaultNumSplit {
-		t.Fatalf("FillLaneDepths = %v", d)
+	// Every lane has a fill queue: FillLaneDepths has one entry per split.
+	for _, tc := range []struct {
+		cfg  Config
+		want int
+	}{
+		{DefaultConfig(), DefaultNumSplit},
+		{Config{NumSplit: 4}, 4},
+		{ConfigForVariant(VariantNoSplit), 1},
+	} {
+		if d := New(tc.cfg).FillLaneDepths(); len(d) != tc.want {
+			t.Fatalf("NumSplit %d: FillLaneDepths = %v, want %d lanes", tc.cfg.NumSplit, d, tc.want)
+		}
 	}
 }
 
 func TestFillLanePartitionDeterministic(t *testing.T) {
 	c := New(DefaultConfig())
 	rec := aRecTyped(t0, "svc.example", "198.51.100.77", 300)
-	want := c.fillLaneFor(&rec)
+	want := c.dnsLaneFor(&rec)
 	for i := 0; i < 100; i++ {
 		r := aRecTyped(t0.Add(time.Duration(i)*time.Second), fmt.Sprintf("q%d.example", i), "198.51.100.77", 300)
-		if got := c.fillLaneFor(&r); got != want {
+		if got := c.dnsLaneFor(&r); got != want {
 			t.Fatalf("same answer address landed on lanes %d and %d", want, got)
 		}
 	}
-	// With FillLanes == Lanes, the fill lane owns exactly the splits the
-	// record's store put touches: lane == splitFor's lane component.
+	// One lane per split: the lane a record fills through is the split its
+	// store put touches.
 	a16 := rec.Addr.As16()
-	h := ipHash(&a16)
-	split := c.ipName.splitFor(h)
-	if lane := split / c.ipName.perLane; lane != want {
-		t.Fatalf("fill lane %d does not own split %d (lane %d)", want, split, lane)
+	if split := c.ipName.splitFor(ipHash(&a16)); split != want {
+		t.Fatalf("record fills through lane %d but lands in split %d", want, split)
 	}
 }
 
 func TestOfferDNSRoutesAndCounts(t *testing.T) {
 	cfg := DefaultConfig()
-	cfg.FillLanes = 4
-	cfg.FillQueueCap = 64 // 16 per lane
+	cfg.NumSplit = 4
+	cfg.QueueCap = 64 // 16 per lane
 	c := New(cfg)
 	var recs []stream.DNSRecord
 	for i := 0; i < 40; i++ {
@@ -331,15 +322,15 @@ func TestOfferDNSRoutesAndCounts(t *testing.T) {
 	if total != 40 || nonEmpty < 2 {
 		t.Fatalf("lane depths = %v, want 40 spread over >=2 lanes", depths)
 	}
-	if st := c.Stats(); st.FillLanes != 4 || st.FillQueue.Enqueued != 40 {
-		t.Fatalf("stats = FillLanes %d, enqueued %d", st.FillLanes, st.FillQueue.Enqueued)
+	if st := c.Stats(); st.Lanes != 4 || st.FillQueue.Enqueued != 40 {
+		t.Fatalf("stats = Lanes %d, enqueued %d", st.Lanes, st.FillQueue.Enqueued)
 	}
 }
 
 func TestOfferDNSOverflowDropsAndCounts(t *testing.T) {
 	cfg := DefaultConfig()
-	cfg.FillLanes = 1
-	cfg.FillQueueCap = 8
+	cfg.NumSplit = 1
+	cfg.QueueCap = 8
 	c := New(cfg)
 	var recs []stream.DNSRecord
 	for i := 0; i < 20; i++ {
@@ -382,7 +373,7 @@ func TestOfferDNSStringAndTypedRouteSameLane(t *testing.T) {
 	// materializes the typed address before partitioning — so cross-lane
 	// reordering can never break last-write-wins between producers.
 	cfg := DefaultConfig()
-	cfg.FillLanes = 8
+	cfg.NumSplit = 8
 	c := New(cfg)
 	typed := aRecTyped(t0, "svc.example", "198.51.100.33", 300)
 	stringOnly := aRec(t0, "svc.example", "198.51.100.33", 300)

@@ -33,7 +33,7 @@ const internPromoteMin = 64
 // fresh frozen map). The table is a cache, not a registry: when it reaches
 // capacity it resets and rebuilds from live traffic. Entries already
 // stored keep their strings (the store's map values hold them live); only
-// future sharing restarts from empty. Each fill lane owns one interner, so
+// future sharing restarts from empty. Each lane owns one interner, so
 // cross-lane duplication is bounded by the lane count.
 type interner struct {
 	frozen atomic.Pointer[map[string]string]

@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"repro/internal/netflow"
+	"repro/internal/stream"
 )
 
 func laneFlow(ts time.Time, srcIP, dstIP string, bytes uint64) netflow.FlowRecord {
@@ -25,7 +26,7 @@ func laneFlow(ts time.Time, srcIP, dstIP string, bytes uint64) netflow.FlowRecor
 // exactly that lane's queue.
 func TestLanePartitionInvariant(t *testing.T) {
 	cfg := DefaultConfig()
-	cfg.Lanes = 8
+	cfg.NumSplit = 8
 	c := New(cfg)
 	if c.Lanes() != 8 {
 		t.Fatalf("Lanes() = %d, want 8", c.Lanes())
@@ -76,20 +77,62 @@ func TestLanePartitionInvariant(t *testing.T) {
 	}
 }
 
-// TestLaneDefaults pins the config fallbacks: Lanes defaults to NumSplit
-// (the paper's per-split design), and the NoSplit ablation collapses to a
-// single lane.
+// TestLaneDefaults pins the lane count: one lane per split (the paper's
+// per-split design), and the NoSplit ablation collapses to a single lane.
 func TestLaneDefaults(t *testing.T) {
-	if got := DefaultConfig().normalized().Lanes; got != DefaultNumSplit {
+	if got := New(DefaultConfig()).Lanes(); got != DefaultNumSplit {
 		t.Fatalf("default lanes = %d, want NumSplit %d", got, DefaultNumSplit)
 	}
-	if got := ConfigForVariant(VariantNoSplit).normalized().Lanes; got != 1 {
+	if got := New(ConfigForVariant(VariantNoSplit)).Lanes(); got != 1 {
 		t.Fatalf("NoSplit lanes = %d, want 1", got)
 	}
 	cfg := DefaultConfig()
-	cfg.Lanes = 3
-	if got := cfg.normalized().Lanes; got != 3 {
-		t.Fatalf("explicit lanes = %d, want 3", got)
+	cfg.NumSplit = 3
+	if got := New(cfg).Lanes(); got != 3 {
+		t.Fatalf("NumSplit 3: lanes = %d, want 3", got)
+	}
+}
+
+// TestDefaultTopology pins the pipeline New(DefaultConfig()) builds: the
+// workers that run, the per-lane and write queue sizes, and the split and
+// lane of every binary key (ipHash % 10).
+func TestDefaultTopology(t *testing.T) {
+	c := New(DefaultConfig())
+	cfg := c.Config()
+	if c.Lanes() != 10 || cfg.NumSplit != 10 {
+		t.Fatalf("lanes = %d, NumSplit = %d, want 10/10", c.Lanes(), cfg.NumSplit)
+	}
+	if cfg.FillUpWorkers != 10 || cfg.LookUpWorkers != 10 || cfg.WriteWorkers != 2 {
+		t.Fatalf("workers fill/look/write = %d/%d/%d, want 10/10/2",
+			cfg.FillUpWorkers, cfg.LookUpWorkers, cfg.WriteWorkers)
+	}
+	// A queue's capacity is what it accepts from a larger batch.
+	for i, l := range c.lanes {
+		fill := l.fill.OfferBatch(make([]stream.DNSRecord, 7000))
+		look := l.look.OfferBatch(make([]flowEntry, 7000))
+		if fill != 6553 || look != 6553 {
+			t.Fatalf("lane %d queue caps fill/look = %d/%d, want 6553", i, fill, look)
+		}
+	}
+	if got := c.writeQ.OfferBatch(make([]CorrelatedFlow, 70000)); got != 65536 {
+		t.Fatalf("write queue cap = %d, want 65536", got)
+	}
+	for i := 0; i < 4096; i++ {
+		key := netip.AddrFrom4([4]byte{10, byte(i >> 8), byte(i), 1}).As16()
+		h := ipHash(&key)
+		if got, want := c.ipName.splitFor(h), int(h%10); got != want {
+			t.Fatalf("key %d: split %d, want %d", i, got, want)
+		}
+		if got := c.laneForHash(h); got != c.ipName.splitFor(h) {
+			t.Fatalf("key %d: lane %d, split %d", i, got, c.ipName.splitFor(h))
+		}
+	}
+
+	nosplit := New(ConfigForVariant(VariantNoSplit))
+	ncfg := nosplit.Config()
+	if nosplit.Lanes() != 1 || ncfg.FillUpWorkers != 4 || ncfg.LookUpWorkers != 10 {
+		t.Fatalf("NoSplit: lanes %d, workers fill/look %d/%d, want 1, 4/10",
+			nosplit.Lanes(), ncfg.FillUpWorkers, ncfg.LookUpWorkers)
 	}
 }
 
@@ -135,51 +178,63 @@ func TestCorrelateBatchMatchesCorrelateFlow(t *testing.T) {
 	}
 }
 
+// gatedSink holds every WriteBatch until gate closes.
+type gatedSink struct {
+	*flowCounter
+	gate chan struct{}
+}
+
+func (s *gatedSink) WriteBatch(ctx context.Context, batch []CorrelatedFlow) error {
+	<-s.gate
+	return s.flowCounter.WriteBatch(ctx, batch)
+}
+
 // TestDrainFullLanesDeliversEverything is the drain-ordering regression
-// test: cancelling the run while every lane queue is full must still
-// deliver every accepted flow to the sink exactly once — the LookUp→Write
-// handoff backpressures instead of dropping, and lane queues close before
-// the write queue does.
+// test: cancelling the run while the write queue and every lane queue are
+// full must still deliver every accepted flow to the sink exactly once —
+// the LookUp→Write handoff backpressures instead of dropping, and lane
+// queues close before the write queue does.
 func TestDrainFullLanesDeliversEverything(t *testing.T) {
 	cfg := DefaultConfig()
-	cfg.Lanes = 4
-	cfg.LookQueueCap = 64 // 16 per lane
-	cfg.WriteQueueCap = 8 // far smaller than the buffered flows: must backpressure
+	cfg.NumSplit = 4
+	cfg.QueueCap = 64 // 16 per lane, 64 in the write queue
 	cfg.WriteBatchSize = 4
 	cfg.LookUpWorkers = 4
-	c := New(cfg)
+	sink := &gatedSink{flowCounter: newFlowCounter(), gate: make(chan struct{})}
+	c := New(cfg, WithSink(sink))
 	for i := 0; i < 200; i++ {
 		ingest(c, aRec(t0, fmt.Sprintf("svc%d.example", i),
 			netip.AddrFrom4([4]byte{198, 51, 100, byte(i%200 + 1)}).String(), 300))
 	}
+	ctx, cancel := context.WithCancel(context.Background())
+	runDone := make(chan error, 1)
+	go func() { runDone <- c.Run(ctx) }()
 
-	// Fill the lanes to the brim before any worker exists.
-	offered, accepted := 0, 0
-	for i := 0; i < 1000; i++ {
+	// The sink holds the Write workers, so the write queue fills, the
+	// LookUp workers block in the handoff, and then the lanes fill.
+	accepted := 0
+	deadline := time.Now().Add(10 * time.Second)
+	for i := 0; ; i++ {
 		fr := laneFlow(t0.Add(time.Second),
 			netip.AddrFrom4([4]byte{198, 51, 100, byte(i%200 + 1)}).String(),
-			netip.AddrFrom4([4]byte{203, 0, byte(i / 250), byte(i%250 + 1)}).String(), 1)
-		offered++
+			netip.AddrFrom4([4]byte{203, 0, byte(i >> 8), byte(i)}).String(), 1)
 		if offerFlow(c, fr) {
 			accepted++
 		}
+		if _, look, write := c.QueueDepths(); look == cfg.QueueCap && write == cfg.QueueCap {
+			break
+		}
+		if time.Now().After(deadline) {
+			fill, look, write := c.QueueDepths()
+			t.Fatalf("queues never filled: depths %d/%d/%d after %d accepted", fill, look, write, accepted)
+		}
 	}
-	if accepted != cfg.LookQueueCap {
-		t.Logf("accepted %d of %d offered (lane caps %d total)", accepted, offered, cfg.LookQueueCap)
+	if accepted <= 2*cfg.QueueCap {
+		t.Fatalf("accepted %d, want more than the lanes and the write queue hold (%d)", accepted, 2*cfg.QueueCap)
 	}
-	if accepted == 0 {
-		t.Fatal("nothing accepted")
-	}
-
-	sink := newFlowCounter()
-	// Run under an already-cancelled context: pure drain.
-	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if err := func() error {
-		c2 := c // correlator already constructed; attach sink via option path
-		c2.sink = sink
-		return c2.Run(ctx)
-	}(); err != nil {
+	close(sink.gate)
+	if err := <-runDone; err != nil {
 		t.Fatalf("Run = %v", err)
 	}
 
@@ -203,7 +258,7 @@ func TestDrainFullLanesDeliversEverything(t *testing.T) {
 // destination hit the splits the flow's own lane owns.
 func TestLanesDestinationLookup(t *testing.T) {
 	cfg := DefaultConfig()
-	cfg.Lanes = 8
+	cfg.NumSplit = 8
 	cfg.Key = LookupDestination
 	c := New(cfg)
 	for i := 0; i < 64; i++ {

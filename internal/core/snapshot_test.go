@@ -205,17 +205,17 @@ func TestSnapshotRestoreDropsExpired(t *testing.T) {
 }
 
 // TestSnapshotRestoreAcrossLayouts restores a snapshot into correlators
-// with different split/lane layouts: placement is recomputed from the key
+// with different split layouts: placement is recomputed from the key
 // hash, so the state must stay fully reachable.
 func TestSnapshotRestoreAcrossLayouts(t *testing.T) {
-	src := New(Config{NumSplit: 10, Lanes: 2, FillLanes: 4})
+	src := New(Config{NumSplit: 10})
 	recs := genSnapshotWorkload(src, 1000)
 	data := snapshotBytes(t, src)
 
 	for _, cfg := range []Config{
-		{NumSplit: 4, Lanes: 4},
+		{NumSplit: 4},
 		{DisableSplit: true},
-		{NumSplit: 32, Lanes: 8, FillLanes: 1},
+		{NumSplit: 32},
 	} {
 		c2 := New(cfg)
 		if _, err := c2.Restore(bytes.NewReader(data), snapBase); err != nil {
@@ -344,7 +344,7 @@ func TestNewRestoresFromCheckpoint(t *testing.T) {
 	}
 }
 
-// TestRestoreReinterns verifies restored names flow through the fill-lane
+// TestRestoreReinterns verifies restored names flow through the lane
 // interners: distinct store entries for one service name share one backing
 // string, as a live-filled store's do.
 func TestRestoreReinterns(t *testing.T) {
@@ -364,14 +364,14 @@ func TestRestoreReinterns(t *testing.T) {
 		t.Fatal(err)
 	}
 	interned := 0
-	for _, l := range c2.fillLanes {
+	for _, l := range c2.lanes {
 		interned += l.in.size()
 	}
 	if interned == 0 {
 		t.Fatal("restore bypassed the interners")
 	}
-	if interned > len(c2.fillLanes) {
-		t.Fatalf("one name interned %d times across %d lanes", interned, len(c2.fillLanes))
+	if interned > len(c2.lanes) {
+		t.Fatalf("one name interned %d times across %d lanes", interned, len(c2.lanes))
 	}
 }
 

@@ -165,14 +165,12 @@ type Stats struct {
 	// checkpointer, services), sorted by component name.
 	Supervised []SupervisedStatus
 
-	// FillQueue aggregates every fill lane's queue and LookQueue every
-	// correlation lane's; FillLanes and Lanes are the lane counts behind
-	// them.
+	// FillQueue and LookQueue aggregate every lane's fill and lookup
+	// queues; Lanes is the lane count behind them.
 	FillQueue  queue.Stats
 	LookQueue  queue.Stats
 	WriteQueue queue.Stats
 	Lanes      int
-	FillLanes  int
 }
 
 // CorrelationRate returns correlated bytes over total bytes — the paper's
@@ -244,17 +242,13 @@ func (c *Correlator) Stats() Stats {
 		RestoredExpired:    uint64(c.restoreStats.Expired),
 		WriteQueue:         c.writeQ.Stats(),
 		Lanes:              len(c.lanes),
-		FillLanes:          len(c.fillLanes),
 	}
-	for _, l := range c.fillLanes {
-		fs := l.q.Stats()
+	for _, l := range c.lanes {
+		fs, ls := l.fill.Stats(), l.look.Stats()
 		st.FillQueue.Enqueued += fs.Enqueued
 		st.FillQueue.Dropped += fs.Dropped
 		st.FillQueue.Sampled += fs.Sampled
 		st.FillQueue.Dequeued += fs.Dequeued
-	}
-	for _, l := range c.lanes {
-		ls := l.q.Stats()
 		st.LookQueue.Enqueued += ls.Enqueued
 		st.LookQueue.Dropped += ls.Dropped
 		st.LookQueue.Sampled += ls.Sampled

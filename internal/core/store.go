@@ -38,21 +38,15 @@ func (t Tier) String() string {
 // per-split active/inactive/long generations plus the clear-up machinery of
 // Algorithm 1. All methods are safe for concurrent use.
 //
-// Splits are laid out lane-major: the split index of a key is
-// (laneOf(key) * perLane) + withinLane(key), with laneOf derived from the
-// same hash the correlator uses to partition flows onto correlation lanes.
-// When lookups route by the partition address (LookupDestination), every
-// split slice [lane*perLane, (lane+1)*perLane) is read by exactly one
-// lane's workers, so concurrent LookUp workers never contend on the same
-// generation shards.
+// A key's split is its hash modulo the split count. The correlator runs
+// one lane per split and routes DNS records by the same hash, so each
+// lane's FillUp workers write only their own split.
 type store struct {
 	active   []*cmap.Map
 	inactive []*cmap.Map
 	long     []*cmap.Map
 
 	splits        int
-	lanes         int // lane-major grouping of splits
-	perLane       int // splits per lane; splits == lanes*perLane
 	interval      time.Duration
 	rotation      bool // keep an inactive generation on clear-up
 	clearUp       bool // clear at all
@@ -76,7 +70,6 @@ type store struct {
 // storeConfig carries the subset of Config a store needs.
 type storeConfig struct {
 	splits        int
-	lanes         int
 	interval      time.Duration
 	rotation      bool
 	clearUp       bool
@@ -90,23 +83,11 @@ func newStore(sc storeConfig) *store {
 	if sc.splits < 1 {
 		sc.splits = 1
 	}
-	if sc.lanes < 1 {
-		sc.lanes = 1
-	}
 	if sc.shardsPerMap < 1 {
 		sc.shardsPerMap = cmap.DefaultShardCount
 	}
-	// A single-split store (NAME-CNAME, the NoSplit ablation) cannot give
-	// each lane its own slice; every lane shares split 0.
-	if sc.splits == 1 {
-		sc.lanes = 1
-	}
-	perLane := (sc.splits + sc.lanes - 1) / sc.lanes
-	splits := sc.lanes * perLane
 	s := &store{
-		splits:        splits,
-		lanes:         sc.lanes,
-		perLane:       perLane,
+		splits:        sc.splits,
 		interval:      sc.interval,
 		rotation:      sc.rotation,
 		clearUp:       sc.clearUp,
@@ -114,11 +95,11 @@ func newStore(sc storeConfig) *store {
 		ttlThreshold:  sc.interval,
 		exactTTL:      sc.exactTTL,
 		sweepInterval: sc.sweepInterval,
-		active:        make([]*cmap.Map, splits),
-		inactive:      make([]*cmap.Map, splits),
-		long:          make([]*cmap.Map, splits),
+		active:        make([]*cmap.Map, sc.splits),
+		inactive:      make([]*cmap.Map, sc.splits),
+		long:          make([]*cmap.Map, sc.splits),
 	}
-	for i := 0; i < splits; i++ {
+	for i := 0; i < sc.splits; i++ {
 		s.active[i] = cmap.NewWithShards(sc.shardsPerMap)
 		s.inactive[i] = cmap.NewWithShards(sc.shardsPerMap)
 		s.long[i] = cmap.NewWithShards(sc.shardsPerMap)
@@ -126,18 +107,14 @@ func newStore(sc storeConfig) *store {
 	return s
 }
 
-// splitFor implements the paper's step-4 labeling lane-major: the low bits
-// of the key hash select the lane (matching the correlator's flow
-// partition), a golden-ratio remix selects the split within the lane's
-// slice. Both put and get derive the index from the same cmap hash, so one
-// hash per key serves lane routing, split labeling, and shard selection.
+// splitFor implements the paper's step-4 labeling: the key hash modulo
+// the split count. Put and get derive the index from the same hash, so one
+// hash per key serves lane routing, split labeling and shard selection.
 func (s *store) splitFor(h uint32) int {
 	if s.splits == 1 {
 		return 0
 	}
-	lane := int(h % uint32(s.lanes))
-	within := int((h * 0x9E3779B9 >> 8) % uint32(s.perLane))
-	return lane*s.perLane + within
+	return int(h % uint32(s.splits))
 }
 
 // put inserts one record per Algorithm 1: first advance the clear-up clock

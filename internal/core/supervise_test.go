@@ -20,7 +20,7 @@ import (
 // restarts do not slow tests down.
 func superviseConfig() Config {
 	return Config{
-		Lanes: 1, FillLanes: 1,
+		NumSplit:      1,
 		FillUpWorkers: 1, LookUpWorkers: 1, WriteWorkers: 1,
 		RestartBackoffMin: time.Millisecond,
 		RestartBackoffMax: 2 * time.Millisecond,

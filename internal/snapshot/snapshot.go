@@ -24,7 +24,7 @@
 // cell of the store. Large cells are split across several sections (the
 // writer rotates at sectionMaxBytes), which both bounds the reader's
 // allocation per section and gives a restoring correlator natural units to
-// fan out across its fill lanes. A section payload is count entries:
+// fan out across its lanes. A section payload is count entries:
 //
 //	entry: keyLen uvarint | key | valueLen uvarint | value | exp i64
 //

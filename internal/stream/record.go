@@ -65,6 +65,23 @@ func (r *DNSRecord) IsValid() bool {
 	}
 }
 
+// TypeAddr materializes the typed address of a string-only A/AAAA record
+// in place: one parse at offer time instead of one per ingest, and because
+// the correlator's lanes and the cluster router both partition on the
+// typed address, records for the same IP land in the same place whichever
+// producer built them. Unparsable answers are left as they are (the §3.2
+// filter rejects them at ingest).
+func (r *DNSRecord) TypeAddr() {
+	if r.Addr.IsValid() || r.Answer == "" {
+		return
+	}
+	if r.RType == dnswire.TypeA || r.RType == dnswire.TypeAAAA {
+		if addr, err := netip.ParseAddr(r.Answer); err == nil {
+			r.Addr = addr
+		}
+	}
+}
+
 // AnswerString returns the answer's presentation form: the Answer string
 // when present, otherwise the typed address formatted. Only the offline
 // writers (capture persistence) use this; the live fill path never needs

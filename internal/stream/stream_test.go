@@ -136,6 +136,31 @@ func TestDNSRecordIsValid(t *testing.T) {
 	}
 }
 
+func TestDNSRecordTypeAddr(t *testing.T) {
+	typed := netip.MustParseAddr("192.0.2.9")
+	cases := []struct {
+		name string
+		rec  DNSRecord
+		want netip.Addr
+	}{
+		{"A", DNSRecord{RType: dnswire.TypeA, Answer: "192.0.2.1"}, netip.MustParseAddr("192.0.2.1")},
+		{"AAAA", DNSRecord{RType: dnswire.TypeAAAA, Answer: "2001:db8::1"}, netip.MustParseAddr("2001:db8::1")},
+		{"unparsable", DNSRecord{RType: dnswire.TypeA, Answer: "not-an-ip"}, netip.Addr{}},
+		{"CNAME", DNSRecord{RType: dnswire.TypeCNAME, Answer: "192.0.2.1"}, netip.Addr{}},
+		{"already typed", DNSRecord{RType: dnswire.TypeA, Answer: "192.0.2.1", Addr: typed}, typed},
+	}
+	for _, c := range cases {
+		rec := c.rec
+		rec.TypeAddr()
+		if rec.Addr != c.want {
+			t.Errorf("%s: Addr = %v, want %v", c.name, rec.Addr, c.want)
+		}
+		if rec.Answer != c.rec.Answer {
+			t.Errorf("%s: Answer changed to %q", c.name, rec.Answer)
+		}
+	}
+}
+
 func TestFrameRoundTrip(t *testing.T) {
 	var buf bytes.Buffer
 	msgs := [][]byte{[]byte("hello"), {}, bytes.Repeat([]byte{0xAB}, 65535)}

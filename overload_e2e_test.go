@@ -29,11 +29,8 @@ import (
 // the flood the tests push through them, with the adaptive sampler enabled.
 func undersizedConfig() core.Config {
 	cfg := core.DefaultConfig()
-	cfg.Lanes = 2
-	cfg.FillLanes = 2
-	cfg.FillQueueCap = 64 // 32 per lane
-	cfg.LookQueueCap = 64
-	cfg.WriteQueueCap = 1024
+	cfg.NumSplit = 2
+	cfg.QueueCap = 64 // 32 per lane
 	cfg.SampleLowWater = 0.25
 	cfg.SampleHighWater = 0.75
 	cfg.SampleMaxShed = 0.5

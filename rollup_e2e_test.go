@@ -59,7 +59,7 @@ func TestRollupEndToEndMatchesCountingSink(t *testing.T) {
 		}))
 
 	cfg := core.DefaultConfig()
-	cfg.Lanes = 8
+	cfg.NumSplit = 8
 	c := core.New(cfg,
 		core.WithSink(core.MultiSink{counting, rsink}),
 		core.WithSources(stream.NewFlowUDPSource(nfConn)),

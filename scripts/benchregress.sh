@@ -18,11 +18,10 @@
 # the base but MISSING from HEAD fails the script — a deleted or renamed
 # guard must be removed from BENCHES deliberately, not silently unguarded.
 #
-# The HEAD run also snapshots the fill-path and query-plane medians
-# (BenchmarkIngestDNS*, BenchmarkFlattenResponse*, BenchmarkQueryRange*,
-# BenchmarkCompact*, BenchmarkInfluxEncode, BenchmarkSample*,
-# BenchmarkUDPIngest*, BenchmarkCmapTable*, BenchmarkForwardFanout) into
-# BENCH_ingest.json at the repo root, so their perf
+# The HEAD run also snapshots the medians of every guarded benchmark (the
+# families BENCHES names, sub-benchmarks included) into BENCH_ingest.json at
+# the repo root, with a "host" object naming the machine that measured them
+# (CPU model, nproc, GOMAXPROCS, go version, kernel), so the perf
 # trajectory is tracked commit over commit; refresh the checked-in snapshot
 # when the numbers move for a reason.
 #
@@ -91,12 +90,25 @@ medians() {
 medians "$tmp/base.txt" | sort > "$tmp/base.med"
 medians "$tmp/head.txt" | sort > "$tmp/head.med"
 
-# Snapshot the fill-path and query-plane benchmarks (median ns/op, B/op,
-# allocs/op) from the HEAD run into a JSON file tracked in the repository.
+# Snapshot the guarded benchmarks (median ns/op, B/op, allocs/op) from the
+# HEAD run into a JSON file tracked in the repository. The set is BENCHES
+# itself: a benchmark is kept when its top-level name matches one of the
+# BENCHES alternatives, so the snapshot cannot drift from the guard.
 if [ -n "$SNAPSHOT" ]; then
-    # Strip the -GOMAXPROCS suffix so the snapshot is machine-independent.
+    host=$(printf '"cpu": "%s", "nproc": %s, "gomaxprocs": %s, "go": "%s", "kernel": "%s"' \
+        "$(awk -F': *' '/^model name/ { print $2; exit }' /proc/cpuinfo 2>/dev/null | tr -d '"\\')" \
+        "$(nproc)" "${GOMAXPROCS:-$(nproc)}" "$(go env GOVERSION)" "$(uname -r)")
+    # Strip the -GOMAXPROCS suffix; the host object records it instead.
     sed -E 's/^(Benchmark[^ \t]+)-[0-9]+/\1/' "$tmp/head.txt" | \
-    awk '/^BenchmarkIngestDNS|^BenchmarkFlattenResponse|^BenchmarkQueryRange|^BenchmarkCompact|^BenchmarkInfluxEncode|^BenchmarkSample|^BenchmarkUDPIngest|^BenchmarkCmapTable|^BenchmarkForwardFanout/ {
+    awk -v benches="$BENCHES" '
+    BEGIN { nb = split(benches, pat, "|") }
+    function guarded(name,   top, i) {
+        top = name
+        sub(/\/.*/, "", top)
+        for (i = 1; i <= nb; i++) if (top ~ ("^(" pat[i] ")")) return 1
+        return 0
+    }
+    /^Benchmark/ && guarded($1) {
         name = $1
         for (i = 2; i <= NF; i++) {
             if ($i == "ns/op")     ns[name]     = ns[name] " " $(i-1)
@@ -112,8 +124,8 @@ if [ -n "$SNAPSHOT" ]; then
     END {
         for (name in ns)
             printf "%s %s %s %s\n", name, median(ns[name]), median(bop[name]), median(allocs[name])
-    }' | sort | awk '
-    BEGIN { printf "{\n  \"benchmarks\": {" }
+    }' | sort | awk -v host="$host" '
+    BEGIN { printf "{\n  \"host\": { %s },\n  \"benchmarks\": {", host }
     {
         if (NR > 1) printf ","
         printf "\n    \"%s\": { \"ns_per_op\": %s, \"b_per_op\": %s, \"allocs_per_op\": %s }", $1, $2, $3, $4

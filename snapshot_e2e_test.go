@@ -35,8 +35,7 @@ func TestKillAndResumePipeline(t *testing.T) {
 			t.Fatal(err)
 		}
 		cfg := core.DefaultConfig()
-		cfg.Lanes = 4
-		cfg.FillLanes = 4
+		cfg.NumSplit = 4
 		cfg.SnapshotPath = snapPath
 		cfg.SnapshotEvery = 50 * time.Millisecond // exercise the periodic checkpointer too
 		c := core.New(cfg, core.WithSources(stream.NewDNSListener(dnsLn)))
@@ -100,7 +99,7 @@ func TestKillAndResumePipeline(t *testing.T) {
 			t.Fatal(err)
 		}
 		cfg := core.DefaultConfig()
-		cfg.Lanes = 8 // different layout on purpose: restore re-places by hash
+		cfg.NumSplit = 8 // different layout on purpose: restore re-places by hash
 		cfg.SnapshotPath = snapPath
 		sink := core.NewCountingSink()
 		c := core.New(cfg, core.WithSink(sink), core.WithSources(stream.NewFlowUDPSource(nfConn)))
@@ -189,8 +188,7 @@ func TestLoopbackSoak(t *testing.T) {
 	}
 	snapPath := filepath.Join(t.TempDir(), "store.snapshot")
 	cfg := core.DefaultConfig()
-	cfg.Lanes = 8
-	cfg.FillLanes = 8
+	cfg.NumSplit = 8
 	cfg.SnapshotPath = snapPath
 	cfg.SnapshotEvery = 250 * time.Millisecond // stress checkpoint-vs-fill concurrency
 	sink := core.NewCountingSink()
